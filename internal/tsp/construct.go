@@ -9,65 +9,13 @@ import (
 // moving to the cheapest unvisited city. With rng == nil the choice is
 // deterministic; otherwise each step picks uniformly among the k cheapest
 // unvisited cities (k = 3, per the "randomized Nearest Neighbor starts" of
-// the paper's solver protocol). Ties are broken by city index, and the
-// sparse fast path reproduces the dense scan's choices exactly.
-func NearestNeighbor(m Costs, start int, rng *rand.Rand) Tour {
-	if s, ok := m.(*SparseMatrix); ok {
-		return nearestNeighborSparse(s, start, rng)
-	}
-	n := m.Len()
-	visited := make([]bool, n)
-	tour := make(Tour, 0, n)
-	cur := start
-	visited[cur] = true
-	tour = append(tour, cur)
-	type cand struct {
-		city int
-		cost Cost
-	}
-	for len(tour) < n {
-		var best [3]cand
-		nbest := 0
-		for j := 0; j < n; j++ {
-			if visited[j] {
-				continue
-			}
-			c := cand{j, m.At(cur, j)}
-			// Insertion sort into the best-3 buffer.
-			k := nbest
-			if k > len(best)-1 {
-				k = len(best) - 1
-				if c.cost >= best[k].cost {
-					continue
-				}
-			}
-			for k > 0 && best[k-1].cost > c.cost {
-				best[k] = best[k-1]
-				k--
-			}
-			best[k] = c
-			if nbest < len(best) {
-				nbest++
-			}
-		}
-		pick := 0
-		if rng != nil && nbest > 1 {
-			pick = rng.Intn(nbest)
-		}
-		cur = best[pick].city
-		visited[cur] = true
-		tour = append(tour, cur)
-	}
-	return tour
-}
-
-// nearestNeighborSparse is NearestNeighbor on the sparse representation:
-// from the current city, the candidate successors are the unvisited
-// exception columns plus the first three unvisited non-exception columns
-// (all non-exception columns cost the row default, so the three with the
-// smallest indices are exactly the ones the dense scan's stable best-3
-// buffer would keep). O(V+E + n·k) over the whole tour instead of Θ(n²).
-func nearestNeighborSparse(s *SparseMatrix, start int, rng *rand.Rand) Tour {
+// the paper's solver protocol). Ties are broken by city index. From the
+// current city, the candidate successors are the unvisited exception
+// columns plus the first three unvisited non-exception columns (all
+// non-exception columns cost the row default, so the three with the
+// smallest indices are exactly the ones a stable best-3 scan of the full
+// row would keep). O(V+E + n·k) over the whole tour instead of Θ(n²).
+func NearestNeighbor(s *SparseMatrix, start int, rng *rand.Rand) Tour {
 	n := s.Len()
 	// Doubly linked list over unvisited cities in index order.
 	next := make([]int, n+1) // next[n] is the head sentinel

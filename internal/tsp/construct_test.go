@@ -9,7 +9,7 @@ func TestNearestNeighborValid(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 25} {
 		m := randMatrix(n, 1000, int64(n))
 		for start := 0; start < n; start += 3 {
-			tour := NearestNeighbor(m, start, nil)
+			tour := NearestNeighbor(Sparsify(m), start, nil)
 			if !tour.Valid(n) {
 				t.Fatalf("n=%d start=%d: invalid tour %v", n, start, tour)
 			}
@@ -33,7 +33,7 @@ func TestNearestNeighborPicksCheapest(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 2, 1)
 	m.Set(2, 3, 1)
-	tour := NearestNeighbor(m, 0, nil)
+	tour := NearestNeighbor(Sparsify(m), 0, nil)
 	want := Tour{0, 1, 2, 3}
 	for i := range want {
 		if tour[i] != want[i] {
@@ -43,7 +43,7 @@ func TestNearestNeighborPicksCheapest(t *testing.T) {
 }
 
 func TestNearestNeighborRandomizedIsValidAndDeterministic(t *testing.T) {
-	m := randMatrix(30, 1000, 9)
+	m := Sparsify(randMatrix(30, 1000, 9))
 	a := NearestNeighbor(m, 0, rand.New(rand.NewSource(42)))
 	b := NearestNeighbor(m, 0, rand.New(rand.NewSource(42)))
 	if !a.Valid(30) {

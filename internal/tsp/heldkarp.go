@@ -53,11 +53,6 @@ type HeldKarpOptions struct {
 	// StallEpsilon is the relative improvement threshold for
 	// StallWindow; <= 0 selects 1e-6.
 	StallEpsilon float64
-	// stallFloor arms the stall window only once the best bound exceeds
-	// it (in the kernel's raw value space). Used by the dense directed
-	// path to tell the symmetric kernel where the shifted instance's
-	// useful range begins; the sparse directed kernel derives its own.
-	stallFloor float64
 }
 
 // HKWarmState carries the dual state of a Held-Karp ascent so a later
@@ -94,9 +89,8 @@ type BoundResult struct {
 	Stalled bool
 }
 
-// hkSchedule returns the iteration count and step-halving period shared
-// by every subgradient driver, from the node count of the instance being
-// relaxed.
+// hkSchedule returns the subgradient iteration count and step-halving
+// period from the node count of the instance being relaxed.
 func hkSchedule(nodes, iterations int) (iters, period int) {
 	iters = iterations
 	if iters <= 0 {
@@ -113,7 +107,7 @@ func hkSchedule(nodes, iterations int) (iters, period int) {
 }
 
 // stallTracker implements the epsilon-over-window early-termination
-// rule shared by the subgradient drivers: stop once the best bound has
+// rule of the subgradient ascent: stop once the best bound has
 // gone a full window of iterates without improving by more than an
 // epsilon fraction of the instance's cost scale. The scale is fixed up
 // front (the upper bound's magnitude) rather than derived from the
@@ -173,121 +167,6 @@ func (s *stallTracker) observe(best, gain float64) bool {
 	return s.count >= s.window
 }
 
-// HeldKarpSym computes the Held-Karp lower bound for a symmetric instance
-// via 1-tree Lagrangian relaxation with subgradient ascent (Held & Karp
-// 1970, 1971). The returned value is a valid lower bound on the optimal
-// tour cost for every iteration count: each iterate evaluates
-// L(pi) = w(min 1-tree under reduced costs) - 2*sum(pi), and max over
-// visited pi of L(pi) <= OPT.
-//
-// m must be symmetric; the function panics otherwise (catching accidental
-// use on a raw DTSP matrix, for which HeldKarpDirected exists).
-func HeldKarpSym(m *Matrix, opt HeldKarpOptions) float64 {
-	return HeldKarpSymBound(m, opt).Bound
-}
-
-// HeldKarpSymBound is HeldKarpSym with the full anytime result: the
-// bound plus how many iterates ran and whether the ascent was truncated
-// by its context or budget.
-func HeldKarpSymBound(m *Matrix, opt HeldKarpOptions) BoundResult {
-	if !m.IsSymmetric() {
-		panic("tsp: HeldKarpSym: matrix is not symmetric")
-	}
-	n := m.Len()
-	if n < 3 {
-		return BoundResult{Bound: float64(CycleCost(m, IdentityTour(n))), Converged: true}
-	}
-	iters, period := hkSchedule(n, opt.Iterations)
-	ub := opt.UpperBound
-	if ub == 0 {
-		// Unset; negative upper bounds are legitimate for shifted
-		// instances (see HeldKarpDirectedDense).
-		ub = CycleCost(m, NearestNeighbor(m, 0, nil))
-	}
-	alpha := opt.InitialAlpha
-	if alpha <= 0 {
-		alpha = 2
-	}
-
-	sp := opt.Obs.Child("tsp.heldkarp_sym", obs.Int("nodes", int64(n)))
-	boundSeries := sp.Series("hk_bound")
-	stepSeries := sp.Series("hk_step")
-
-	pi := make([]float64, n)
-	if opt.Warm != nil && len(opt.Warm.Pi) == n {
-		copy(pi, opt.Warm.Pi)
-	}
-	deg := make([]int, n)
-	ws := newOneTreeWorkspace(n)
-	best := math.Inf(-1)
-	res := BoundResult{}
-	cc := newCancelCheck(opt.Context, opt.Budget)
-	maxIt := opt.Budget.MaxHKIterations
-	st := newStallTracker(opt.StallWindow, period, opt.StallEpsilon, float64(ub), opt.stallFloor)
-	for it := 0; it < iters; it++ {
-		// Iterate-boundary budget check. The first iterate always runs
-		// (it is cheap and guarantees a real bound); later iterates stop
-		// as soon as the budget trips — best is already valid.
-		if maxIt > 0 && res.Iterations >= maxIt {
-			res.Truncated = true
-			break
-		}
-		if res.Iterations > 0 && cc.cancelled() {
-			res.Truncated = true
-			break
-		}
-		res.Iterations = it + 1
-		w := oneTree(m, pi, deg, ws)
-		var piSum float64
-		for _, p := range pi {
-			piSum += p
-		}
-		bound := w - 2*piSum
-		gain := bound - best
-		if bound > best {
-			best = bound
-			if opt.Warm != nil {
-				opt.Warm.Pi = append(opt.Warm.Pi[:0], pi...)
-			}
-			boundSeries.Add(int64(it), bound)
-		}
-		// Subgradient: degree deviation from 2.
-		var norm float64
-		for i := 0; i < n; i++ {
-			d := float64(deg[i] - 2)
-			norm += d * d
-		}
-		if norm == 0 {
-			// The 1-tree is a tour: the bound is exact.
-			res.Converged = true
-			sp.SetAttrs(obs.Bool("converged", true))
-			break
-		}
-		if st.observe(best, gain) {
-			res.Stalled = true
-			break
-		}
-		step := alpha * (float64(ub) - bound) / norm
-		if step <= 0 {
-			break
-		}
-		if it%period == 0 {
-			stepSeries.Add(int64(it), step)
-		}
-		for i := 0; i < n; i++ {
-			pi[i] += step * float64(deg[i]-2)
-		}
-		if (it+1)%period == 0 {
-			alpha /= 2
-		}
-	}
-	res.Bound = best
-	sp.Count("hk.iterations", int64(res.Iterations))
-	sp.End(obs.Float("bound", best), obs.Int("iterations", int64(res.Iterations)),
-		obs.Bool("truncated", res.Truncated), obs.Bool("stalled", res.Stalled))
-	return res
-}
-
 // HeldKarpDirected computes the Held-Karp bound for an asymmetric
 // instance by relaxing its 2-city symmetric transformation, exactly as
 // the paper does — but without ever materializing the 2n×2n symmetric
@@ -297,11 +176,6 @@ func HeldKarpSymBound(m *Matrix, opt HeldKarpOptions) BoundResult {
 // bounds. Each subgradient iteration builds the implicit 1-tree in
 // O(E + n log n) instead of Θ(n²) (see sparseOneTree), which is what
 // makes the bound affordable on multi-thousand-block functions.
-//
-// HeldKarpDirectedDense is the dense reference implementation; its bound
-// can differ in the last few percent (different 1-tree tie-breaking, and
-// the implicit path caps exception edges at their row default), but both
-// are valid lower bounds on the optimal directed tour.
 func HeldKarpDirected(c Costs, opt HeldKarpOptions) float64 {
 	return HeldKarpBound(c, opt).Bound
 }
@@ -313,7 +187,8 @@ func HeldKarpDirected(c Costs, opt HeldKarpOptions) float64 {
 func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
 	n := c.Len()
 	if n < 3 {
-		return heldKarpDenseBound(c, opt)
+		// One or two cities admit a single tour: its cost is the bound.
+		return BoundResult{Bound: float64(CycleCost(c, IdentityTour(n))), Converged: true}
 	}
 	sp := Sparsify(c)
 	ot := newSparseOneTree(sp)
@@ -349,7 +224,9 @@ func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
 	// i.e. actually worth stopping at.
 	st := newStallTracker(opt.StallWindow, period, opt.StallEpsilon, float64(dirUB), -shift)
 	for it := 0; it < iters; it++ {
-		// Iterate-boundary budget check; see HeldKarpSymBound.
+		// Iterate-boundary budget check. The first iterate always runs
+		// (it is cheap and guarantees a real bound); later iterates stop
+		// as soon as the budget trips — best is already valid.
 		if maxIt > 0 && res.Iterations >= maxIt {
 			res.Truncated = true
 			break
@@ -408,119 +285,4 @@ func HeldKarpBound(c Costs, opt HeldKarpOptions) BoundResult {
 	hsp.End(obs.Float("bound", res.Bound), obs.Int("iterations", int64(res.Iterations)),
 		obs.Bool("truncated", res.Truncated), obs.Bool("stalled", res.Stalled))
 	return res
-}
-
-// HeldKarpDirectedDense is the dense reference path: materialize the
-// 2-city symmetric transformation (Sym.Matrix, with -LockCost on locked
-// edges, so its optimum is the directed optimum shifted down by
-// n*LockCost) and bound it with HeldKarpSym; the same shift converts the
-// symmetric bound back into a valid lower bound on the optimal directed
-// tour cost. Θ(n²) memory and Θ(n²) time per subgradient iteration —
-// kept as the oracle the sparse path is validated against.
-func HeldKarpDirectedDense(c Costs, opt HeldKarpOptions) float64 {
-	return heldKarpDenseBound(c, opt).Bound
-}
-
-func heldKarpDenseBound(c Costs, opt HeldKarpOptions) BoundResult {
-	s := Symmetrize(c)
-	symM := s.Matrix()
-	shift := float64(c.Len()) * float64(s.LockCost())
-	dirUB := opt.UpperBound
-	if dirUB <= 0 {
-		// A directed NN tour embeds into the symmetric space (shifted).
-		dirUB = CycleCost(c, NearestNeighbor(c, 0, nil))
-	}
-	symOpt := opt
-	symOpt.UpperBound = dirUB - Cost(c.Len())*s.LockCost()
-	// Raw symmetric values above -shift correspond to positive directed
-	// bounds — only there is stopping early worth anything.
-	symOpt.stallFloor = -shift
-	res := HeldKarpSymBound(symM, symOpt)
-	res.Bound += shift
-	return res
-}
-
-// oneTreeWorkspace holds the Prim scratch arrays for the dense oneTree,
-// hoisted out of the per-iteration path so that subgradient ascent does
-// not reallocate them on every iterate.
-type oneTreeWorkspace struct {
-	inTree []bool
-	dist   []float64
-	parent []int
-}
-
-func newOneTreeWorkspace(n int) *oneTreeWorkspace {
-	return &oneTreeWorkspace{
-		inTree: make([]bool, n),
-		dist:   make([]float64, n),
-		parent: make([]int, n),
-	}
-}
-
-// oneTree computes the minimum-weight 1-tree under reduced costs
-// c(i,j) + pi[i] + pi[j]: a minimum spanning tree over cities 1..n-1 plus
-// the two cheapest edges incident to city 0. deg receives the degree of
-// each city in the 1-tree. The returned weight is in reduced costs.
-func oneTree(m *Matrix, pi []float64, deg []int, ws *oneTreeWorkspace) float64 {
-	n := m.Len()
-	for i := range deg {
-		deg[i] = 0
-	}
-	red := func(i, j int) float64 {
-		return float64(m.At(i, j)) + pi[i] + pi[j]
-	}
-	// Prim over cities 1..n-1.
-	const unreached = math.MaxFloat64
-	inTree, dist, parent := ws.inTree, ws.dist, ws.parent
-	for i := 0; i < n; i++ {
-		inTree[i] = false
-		dist[i] = unreached
-		parent[i] = -1
-	}
-	total := 0.0
-	cur := 1
-	inTree[cur] = true
-	for count := 1; count < n-1; count++ {
-		for j := 2; j < n; j++ {
-			if inTree[j] {
-				continue
-			}
-			if d := red(cur, j); d < dist[j] {
-				dist[j] = d
-				parent[j] = cur
-			}
-		}
-		nxt, nd := -1, unreached
-		for j := 2; j < n; j++ {
-			if !inTree[j] && dist[j] < nd {
-				nxt, nd = j, dist[j]
-			}
-		}
-		if nxt < 0 {
-			break
-		}
-		inTree[nxt] = true
-		total += nd
-		deg[nxt]++
-		deg[parent[nxt]]++
-		cur = nxt
-	}
-	// Two cheapest edges from city 0.
-	best1, best2 := unreached, unreached
-	arg1, arg2 := -1, -1
-	for j := 1; j < n; j++ {
-		d := red(0, j)
-		switch {
-		case d < best1:
-			best2, arg2 = best1, arg1
-			best1, arg1 = d, j
-		case d < best2:
-			best2, arg2 = d, j
-		}
-	}
-	total += best1 + best2
-	deg[0] += 2
-	deg[arg1]++
-	deg[arg2]++
-	return total
 }

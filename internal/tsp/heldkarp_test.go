@@ -9,7 +9,7 @@ func TestHeldKarpSymNeverExceedsOptimum(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := randSymMatrix(9, 200, seed)
 		_, opt := SolveExact(m)
-		bound := HeldKarpSym(m, HeldKarpOptions{UpperBound: opt})
+		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt})
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: HK bound %.3f exceeds optimum %d", seed, bound, opt)
 		}
@@ -33,7 +33,7 @@ func TestHeldKarpSymTightOnRing(t *testing.T) {
 		m.Set(i, j, 1)
 		m.Set(j, i, 1)
 	}
-	bound := HeldKarpSym(m, HeldKarpOptions{})
+	bound := heldKarpSym(m, HeldKarpOptions{})
 	if math.Abs(bound-float64(n)) > 1e-6 {
 		t.Fatalf("HK bound on ring = %.6f, want %d", bound, n)
 	}
@@ -46,7 +46,7 @@ func TestHeldKarpSymReasonablyTightOnRandomMetric(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		m := randSymMatrix(10, 500, seed+50)
 		_, opt := SolveExact(m)
-		bound := HeldKarpSym(m, HeldKarpOptions{UpperBound: opt})
+		bound := heldKarpSym(m, HeldKarpOptions{UpperBound: opt})
 		if bound < 0.8*float64(opt) {
 			t.Errorf("seed %d: HK bound %.1f is below 80%% of optimum %d", seed, bound, opt)
 		}
@@ -61,23 +61,39 @@ func TestHeldKarpDirectedBoundsDTSPOptimum(t *testing.T) {
 		if bound > float64(opt)+1e-6 {
 			t.Fatalf("seed %d: directed HK bound %.3f exceeds optimum %d", seed, bound, opt)
 		}
+		if dense := heldKarpDirectedDense(m, HeldKarpOptions{UpperBound: opt}); dense > float64(opt)+1e-6 {
+			t.Fatalf("seed %d: dense directed HK bound %.3f exceeds optimum %d", seed, dense, opt)
+		}
 	}
 }
 
 func TestHeldKarpSymPanicsOnAsymmetric(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("HeldKarpSym should reject asymmetric matrices")
+			t.Fatal("heldKarpSym should reject asymmetric matrices")
 		}
 	}()
 	m := randMatrix(5, 100, 1)
-	HeldKarpSym(m, HeldKarpOptions{})
+	heldKarpSym(m, HeldKarpOptions{})
 }
 
 func TestHeldKarpTinyInstances(t *testing.T) {
 	m := FromRows([][]Cost{{0, 2}, {2, 0}})
-	if got := HeldKarpSym(m, HeldKarpOptions{}); got != 4 {
+	if got := heldKarpSym(m, HeldKarpOptions{}); got != 4 {
 		t.Fatalf("2-city HK = %v, want 4", got)
+	}
+	// One and two directed cities have a single tour, whose cost is the
+	// exact bound.
+	for _, c := range []Costs{
+		FromRows([][]Cost{{0}}),
+		FromRows([][]Cost{{0, 3}, {5, 0}}),
+		Sparsify(FromRows([][]Cost{{0, 7}, {0, 0}})),
+	} {
+		want := float64(CycleCost(c, IdentityTour(c.Len())))
+		got := HeldKarpBound(c, HeldKarpOptions{})
+		if got.Bound != want || !got.Converged {
+			t.Fatalf("%d-city directed HK = %+v, want bound %v, converged", c.Len(), got, want)
+		}
 	}
 }
 

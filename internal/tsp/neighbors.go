@@ -19,145 +19,22 @@ const DefaultNeighborCount = 12
 
 // BuildNeighbors computes the k cheapest outgoing and incoming neighbors
 // of every city, skipping edges whose cost is at least forbid (pass the
-// value of ForbidCost(m), or a negative number to keep every edge). Ties
+// value of ForbidCost(s), or a negative number to keep every edge). Ties
 // are broken by city index, so the result is a pure function of the
-// instance's costs: dense and sparse representations of the same
-// instance yield identical lists. On a SparseMatrix the construction
-// runs in O((V+E)·(k+log k)) instead of Θ(n² log n): each row contributes
-// its exception columns plus the k smallest-index default columns (all
-// default columns tie on cost, and index order is exactly how a
-// cost-stable sort breaks that tie). On dense matrices each row selects
-// its k cheapest columns through a bounded (cost, index)-keyed max-heap —
-// O(n log k) per row instead of the Θ(n log n) full sort it replaced,
-// with an identical result.
-func BuildNeighbors(m Costs, k int, forbid Cost) *Neighbors {
-	n := m.Len()
+// instance's costs: every sparse representation of the same instance
+// yields identical lists (a dense instance goes through Sparsify). The
+// construction runs in O((V+E)·(k+log k)) instead of Θ(n² log n): each
+// row contributes its exception columns plus the k smallest-index default
+// columns (all default columns tie on cost, and index order is exactly
+// how a cost-stable sort breaks that tie).
+func BuildNeighbors(s *SparseMatrix, k int, forbid Cost) *Neighbors {
+	n := s.Len()
 	if k <= 0 {
 		k = DefaultNeighborCount
 	}
 	if k > n-1 {
 		k = n - 1
 	}
-	if s, ok := m.(*SparseMatrix); ok {
-		return buildNeighborsSparse(s, k, forbid)
-	}
-	nb := &Neighbors{
-		Out: make([][]int, n),
-		In:  make([][]int, n),
-	}
-	heap := make([]neighborCand, 0, k)
-	for i := 0; i < n; i++ {
-		heap = heap[:0]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			c := m.At(i, j)
-			if forbid >= 0 && c >= forbid {
-				continue
-			}
-			heap = pushBounded(heap, k, neighborCand{j, c})
-		}
-		nb.Out[i] = takeCheapest(heap, k)
-
-		heap = heap[:0]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			c := m.At(j, i)
-			if forbid >= 0 && c >= forbid {
-				continue
-			}
-			heap = pushBounded(heap, k, neighborCand{j, c})
-		}
-		nb.In[i] = takeCheapest(heap, k)
-	}
-	return nb
-}
-
-// neighborCand is a candidate edge endpoint with its cost.
-type neighborCand struct {
-	city int
-	cost Cost
-}
-
-// candAfter reports whether x orders strictly after y in (cost, city)
-// order — the selection key everywhere neighbor candidates are ranked.
-func candAfter(x, y neighborCand) bool {
-	if x.cost != y.cost {
-		return x.cost > y.cost
-	}
-	return x.city > y.city
-}
-
-// pushBounded offers cand to the size-k max-heap h (worst candidate at
-// the root, ordered by candAfter) and returns the updated heap: grow
-// while under capacity, otherwise replace the root only if cand beats
-// it. After offering every candidate, h holds exactly the k smallest in
-// (cost, city) order — candidates arrive in increasing city order, so
-// the (cost, city) key makes the strict comparisons reproduce a stable
-// by-cost sort's choice among ties.
-func pushBounded(h []neighborCand, k int, cand neighborCand) []neighborCand {
-	if len(h) < k {
-		h = append(h, cand)
-		// Sift up.
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !candAfter(h[i], h[p]) {
-				break
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-		return h
-	}
-	if k == 0 || !candAfter(h[0], cand) {
-		return h
-	}
-	h[0] = cand
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && candAfter(h[l], h[big]) {
-			big = l
-		}
-		if r < len(h) && candAfter(h[r], h[big]) {
-			big = r
-		}
-		if big == i {
-			return h
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
-// takeCheapest sorts candidates by (cost, city) and returns the first k
-// cities — the same order a stable by-cost sort over index-ordered
-// candidates produces.
-func takeCheapest(cands []neighborCand, k int) []int {
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].cost != cands[b].cost {
-			return cands[a].cost < cands[b].cost
-		}
-		return cands[a].city < cands[b].city
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = cands[i].city
-	}
-	return out
-}
-
-func buildNeighborsSparse(s *SparseMatrix, k int, forbid Cost) *Neighbors {
-	n := s.Len()
 	nb := &Neighbors{
 		Out: make([][]int, n),
 		In:  make([][]int, n),
@@ -256,4 +133,30 @@ func buildNeighborsSparse(s *SparseMatrix, k int, forbid Cost) *Neighbors {
 		nb.In[j] = takeCheapest(cands, k)
 	}
 	return nb
+}
+
+// neighborCand is a candidate edge endpoint with its cost.
+type neighborCand struct {
+	city int
+	cost Cost
+}
+
+// takeCheapest sorts candidates by (cost, city) and returns the first k
+// cities — the same order a stable by-cost sort over index-ordered
+// candidates produces.
+func takeCheapest(cands []neighborCand, k int) []int {
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].cost != cands[b].cost {
+			return cands[a].cost < cands[b].cost
+		}
+		return cands[a].city < cands[b].city
+	})
+	if k > len(cands) {
+		k = len(cands)
+	}
+	out := make([]int, k)
+	for i := range out {
+		out[i] = cands[i].city
+	}
+	return out
 }

@@ -4,13 +4,15 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
 // This file pins the rewritten sparseOneTree kernel (indexed heap,
-// incremental re-sort, dense scan path, pooled workspace) bit-identical
+// incremental re-sort, locked-offer fusion, pooled workspace) bit-identical
 // to the container/heap + sort.Slice implementation it replaced. The
 // frozen reference below is that original implementation, copied
 // verbatim with renamed types — the same playbook twolevel_test.go uses
@@ -306,10 +308,11 @@ func hkAscentStep(pi []float64, deg []int, alpha, ub, bound float64) (step float
 // TestSparseOneTreeMatchesFrozen drives the rewritten kernel and the
 // frozen reference through the production subgradient ascent in lockstep
 // on random sparse instances and requires bit-identical 1-tree weights
-// and degree vectors at every iterate. Instance sizes straddle
-// denseOneTreeCutoff so both the scan path and the heap path are pinned,
-// and kernels are released between instances so pool reuse is exercised
-// under dirty scratch.
+// and degree vectors at every iterate. Instance sizes run from a handful
+// of nodes through the bundled suite's largest function (N = 126) to a
+// few hundred, so the one heap-based selection path is pinned at every
+// scale, and kernels are released between instances so pool reuse is
+// exercised under dirty scratch.
 func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 	cases := []struct {
 		n       int
@@ -317,11 +320,11 @@ func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 		excProb float64
 		seed    int64
 	}{
-		{5, 40, 0.5, 1},
-		{16, 100, 0.3, 2},
-		{60, 1000, 0.2, 3},   // N=120: scan path
-		{129, 500, 0.15, 4},  // N=258: first heap-path size
-		{200, 2000, 0.10, 5}, // N=400: heap path, sparser
+		{5, 40, 0.5, 1},      // N=10: tiny bundled functions
+		{16, 100, 0.3, 2},    // N=32
+		{60, 1000, 0.2, 3},   // N=120: bundled-suite scale
+		{129, 500, 0.15, 4},  // N=258
+		{200, 2000, 0.10, 5}, // N=400: sparser
 		{200, 7, 0.40, 6},    // heavy cost ties stress every tie-break
 	}
 	for _, tc := range cases {
@@ -365,50 +368,48 @@ func TestSparseOneTreeMatchesFrozen(t *testing.T) {
 	}
 }
 
-// TestSparseOneTreeDenseMatchesHeap forces the scan-based and heap-based
-// selection paths onto the same instances — overriding the size cutoff in
-// both directions — and requires bit-identical trajectories. This is the
-// guarantee that denseOneTreeCutoff is a pure constant-factor knob.
-func TestSparseOneTreeDenseMatchesHeap(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		seed int64
-	}{
-		{24, 10},  // naturally dense; heap path forced
-		{150, 11}, // naturally heap; scan path forced
-	} {
-		sp := randSparse(tc.n, 300, 0.25, tc.seed)
-		a := newSparseOneTree(sp)
-		b := newSparseOneTree(sp)
-		b.dense = !b.dense
-		ub := float64(CycleCost(sp, NearestNeighbor(sp, 0, nil))) - float64(tc.n)*float64(a.L)
-		alpha := 2.0
-		for it := 0; it < 30; it++ {
-			wa, wb := a.run(), b.run()
-			if math.Float64bits(wa) != math.Float64bits(wb) {
-				t.Fatalf("n=%d iterate %d: weight %v (dense=%v) != %v (dense=%v)",
-					tc.n, it, wa, a.dense, wb, b.dense)
-			}
-			for i := 0; i < a.N; i++ {
-				if a.deg[i] != b.deg[i] {
-					t.Fatalf("n=%d iterate %d: deg[%d] = %d != %d", tc.n, it, i, a.deg[i], b.deg[i])
+// TestSparseOneTreeMatchesDenseOneTree checks the implicit 1-tree
+// against the dense Prim (dense_oracle_test.go) on the materialized
+// 2-city symmetric matrix. With every exception below its row default
+// nothing is capped, so the two minimum 1-tree weights agree exactly
+// (integer potentials keep every sum exact; the trees themselves may
+// differ on ties). With exceptions above the default, the capped
+// implicit tree can only be lighter.
+func TestSparseOneTreeMatchesDenseOneTree(t *testing.T) {
+	f := func(nRaw, seedRaw uint16, capped bool) bool {
+		n := int(nRaw%40) + 3
+		rng := rand.New(rand.NewSource(int64(seedRaw)))
+		b := NewSparseBuilder(n)
+		for i := 0; i < n; i++ {
+			def := Cost(50 + rng.Intn(50))
+			var cols []int
+			var vals []Cost
+			for j := 0; j < n; j++ {
+				if j != i && rng.Intn(4) == 0 {
+					v := Cost(rng.Intn(50))
+					if capped {
+						v = Cost(rng.Intn(150))
+					}
+					cols, vals = append(cols, j), append(vals, v)
 				}
 			}
-			var piSum float64
-			for _, p := range a.pi {
-				piSum += p
-			}
-			bound := wa - 2*piSum
-			if hkAscentStep(a.pi, a.deg, alpha, ub, bound) == 0 {
-				break
-			}
-			hkAscentStep(b.pi, b.deg, alpha, ub, bound)
-			if (it+1)%8 == 0 {
-				alpha /= 2
-			}
+			b.AddRow(def, cols, vals)
 		}
-		b.release()
-		a.release()
+		sp := b.Finish()
+		ot := newSparseOneTree(sp)
+		defer ot.release()
+		for i := range ot.pi {
+			ot.pi[i] = float64(rng.Intn(41) - 20)
+		}
+		sw := ot.run()
+		dw := oneTree(Symmetrize(sp).Matrix(), ot.pi, make([]int, ot.N))
+		if capped {
+			return sw <= dw
+		}
+		return sw == dw
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -491,7 +492,7 @@ func TestHeldKarpBoundCancelMidAscent(t *testing.T) {
 // contract: after the first iterate has warmed the workspace, run() and
 // the re-sorts allocate nothing.
 func TestSparseOneTreeSteadyStateAllocs(t *testing.T) {
-	for _, n := range []int{40, 200} { // scan path and heap path
+	for _, n := range []int{40, 200} { // N=80 is bundled-suite scale; N=400 beyond it
 		sp := randSparse(n, 500, 0.2, 7)
 		ot := newSparseOneTree(sp)
 		ub := float64(CycleCost(sp, NearestNeighbor(sp, 0, nil))) - float64(n)*float64(ot.L)

@@ -2,7 +2,7 @@ package tsp
 
 import (
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -82,66 +82,34 @@ func TestQuickConstructionsAreValid(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%25) + 1
 		m := randMatrix(n, 1000, int64(seedRaw)+3)
+		sp := Sparsify(m)
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
-		if !NearestNeighbor(m, rng.Intn(n), rng).Valid(n) {
+		if !NearestNeighbor(sp, rng.Intn(n), rng).Valid(n) {
 			return false
 		}
 		if !GreedyEdge(m, rng).Valid(n) {
 			return false
 		}
-		return NearestNeighbor(m, 0, nil).Valid(n) && GreedyEdge(m, nil).Valid(n)
+		return NearestNeighbor(sp, 0, nil).Valid(n) && GreedyEdge(m, nil).Valid(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickDenseNeighborsMatchStableSort pins the dense BuildNeighbors
-// bounded-heap partial selection against the full stable by-cost sort it
-// replaced: identical lists for every row, width and forbid setting
-// (ties broken by city index in both). Costs are drawn from a tiny range
-// so ties are dense.
+// TestQuickDenseNeighborsMatchStableSort pins BuildNeighbors on the
+// canonical sparse form of a dense instance against a full stable by-cost
+// sort of every row and column: identical lists for every width and
+// forbid setting (ties broken by city index in both). Costs are drawn
+// from a tiny range so ties are dense.
 func TestQuickDenseNeighborsMatchStableSort(t *testing.T) {
 	f := func(nRaw, kRaw, seedRaw uint16) bool {
 		n := int(nRaw%30) + 2
 		k := int(kRaw%uint16(n+3)) + 1
 		m := randMatrix(n, 7, int64(seedRaw))
 		for _, forbid := range []Cost{-1, 5} {
-			nb := BuildNeighbors(m, k, forbid)
-			idx := make([]int, 0, n)
-			kk := k
-			if kk > n-1 {
-				kk = n - 1
-			}
-			for i := 0; i < n; i++ {
-				for dir := 0; dir < 2; dir++ {
-					idx = idx[:0]
-					at := func(j int) Cost { return m.At(i, j) }
-					got := nb.Out[i]
-					if dir == 1 {
-						at = func(j int) Cost { return m.At(j, i) }
-						got = nb.In[i]
-					}
-					for j := 0; j < n; j++ {
-						if j == i || (forbid >= 0 && at(j) >= forbid) {
-							continue
-						}
-						idx = append(idx, j)
-					}
-					sort.SliceStable(idx, func(a, b int) bool { return at(idx[a]) < at(idx[b]) })
-					take := kk
-					if take > len(idx) {
-						take = len(idx)
-					}
-					if len(got) != take {
-						return false
-					}
-					for p := 0; p < take; p++ {
-						if got[p] != idx[p] {
-							return false
-						}
-					}
-				}
+			if !reflect.DeepEqual(BuildNeighbors(Sparsify(m), k, forbid), neighborsByStableSort(m, k, forbid)) {
+				return false
 			}
 		}
 		return true

@@ -70,24 +70,26 @@ func TestSparsifyIsCanonical(t *testing.T) {
 	}
 }
 
+// TestQuickNeighborsAndConstructionsAgreeOnSparse pins the sparse
+// neighbor lists and nearest-neighbor tours against the dense oracles
+// (dense_oracle_test.go), and greedy edge against itself on both
+// representations.
 func TestQuickNeighborsAndConstructionsAgreeOnSparse(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%24) + 2
 		sp := randSparse(n, 200, 0.25, int64(seedRaw)+3)
 		d := sp.Dense()
 		forbid := ForbidCost(sp)
-		na := BuildNeighbors(sp, 5, forbid)
-		nd := BuildNeighbors(d, 5, forbid)
-		if !reflect.DeepEqual(na, nd) {
+		if !reflect.DeepEqual(BuildNeighbors(sp, 5, forbid), neighborsByStableSort(d, 5, forbid)) {
 			return false
 		}
 		start := int(seedRaw) % n
-		if !reflect.DeepEqual(NearestNeighbor(sp, start, nil), NearestNeighbor(d, start, nil)) {
+		if !reflect.DeepEqual(NearestNeighbor(sp, start, nil), nearestNeighborDense(d, start, nil)) {
 			return false
 		}
 		r1 := rand.New(rand.NewSource(int64(seedRaw)))
 		r2 := rand.New(rand.NewSource(int64(seedRaw)))
-		if !reflect.DeepEqual(NearestNeighbor(sp, start, r1), NearestNeighbor(d, start, r2)) {
+		if !reflect.DeepEqual(NearestNeighbor(sp, start, r1), nearestNeighborDense(d, start, r2)) {
 			return false
 		}
 		r1 = rand.New(rand.NewSource(int64(seedRaw) + 1))
@@ -103,7 +105,7 @@ func TestQuickSolveIdenticalOnSparseAndDense(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		// The size range crosses denseSolveCutover, so the property checks
 		// the densified small-instance path AND genuinely sparse local
-		// search.
+		// search, and the dense input exercises Solve's Sparsify view.
 		n := int(nRaw%34) + 2
 		sp := randSparse(n, 300, 0.2, int64(seedRaw)+11)
 		opt := PaperSolveOptions(int64(seedRaw))

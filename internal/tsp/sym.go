@@ -77,8 +77,8 @@ func (s *Sym) Cost(a, b int) Cost {
 func (s *Sym) LockCost() Cost { return s.forbid }
 
 // Matrix materializes the symmetric instance as a dense Matrix, for use
-// by generic symmetric algorithms (the Held-Karp bound, exact solvers in
-// tests) that do not understand structural locks. Locked intra-city edges
+// by generic symmetric algorithms (the dense Held-Karp oracle and exact
+// solvers in tests) that do not understand structural locks. Locked intra-city edges
 // are emitted with cost -LockCost so that unconstrained optimization is
 // forced to include them; consequently
 //

@@ -172,7 +172,7 @@ func TestSolvePaperProtocol(t *testing.T) {
 		t.Fatal("reported cost does not match tour")
 	}
 	// The heuristic must beat plain nearest neighbor.
-	nn := CycleCost(m, NearestNeighbor(m, 0, nil))
+	nn := CycleCost(m, NearestNeighbor(Sparsify(m), 0, nil))
 	if res.Cost > nn {
 		t.Fatalf("solver cost %d worse than raw NN %d", res.Cost, nn)
 	}

@@ -4,8 +4,12 @@
 //
 // The package provides:
 //
-//   - dense asymmetric cost matrices (the DTSP instances produced by the
-//     branch-alignment reduction),
+//   - asymmetric cost matrices for the DTSP instances produced by the
+//     branch-alignment reduction: SparseMatrix (per-row default plus
+//     exceptions, O(V+E), what the pipeline builds and the neighbor
+//     lists, nearest-neighbor starts and Held-Karp bound run on) and the
+//     dense Matrix (the input of the exact, patching and assignment
+//     solvers),
 //   - tour-construction heuristics (nearest neighbor and greedy edge
 //     matching, both with optional randomization),
 //   - a reversal-free directed 3-opt local search, which is exactly the
@@ -15,7 +19,8 @@
 //   - the iterated local search protocol from the paper (double-bridge
 //     kicks, multiple randomized starts),
 //   - the Held-Karp lower bound computed on the symmetrized instance via
-//     Lagrangian (1-tree) subgradient ascent,
+//     Lagrangian (1-tree) subgradient ascent, with the 1-tree built
+//     implicitly on the sparse instance (HeldKarpBound),
 //   - the assignment-problem lower bound (Hungarian algorithm), and
 //   - exact solvers (dynamic programming) for small instances, used both
 //     in tests and to solve small procedures outright.

@@ -35,7 +35,7 @@ type arrayThreeOpt struct {
 
 func newArrayThreeOpt(m Costs, nb *Neighbors, t Tour) *arrayThreeOpt {
 	if nb == nil {
-		nb = BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
+		nb = BuildNeighbors(Sparsify(m), DefaultNeighborCount, ForbidCost(m))
 	}
 	n := m.Len()
 	o := &arrayThreeOpt{
@@ -276,7 +276,7 @@ func TestQuickThreeOptMatchesArrayKernel(t *testing.T) {
 	f := func(nRaw, seedRaw uint16) bool {
 		n := int(nRaw%60) + 4
 		m := randMatrix(n, 1000, int64(seedRaw))
-		nb := BuildNeighbors(m, DefaultNeighborCount, ForbidCost(m))
+		nb := BuildNeighbors(Sparsify(m), DefaultNeighborCount, ForbidCost(m))
 		rng := rand.New(rand.NewSource(int64(seedRaw) + 17))
 		start := IdentityTour(n)
 		rng.Shuffle(n, func(i, j int) { start[i], start[j] = start[j], start[i] })

@@ -5,15 +5,15 @@
 #
 #   scripts/bench.sh <label> [bench-regex]
 #
-# e.g. the dense-vs-sparse kernel comparison recorded in results/:
+# e.g. the sparse-kernel numbers recorded in results/:
 #
-#   scripts/bench.sh baseline '//dense'
-#   scripts/bench.sh sparse   '//sparse'
+#   scripts/bench.sh sparse '//sparse'
 #
 # Labels with a recorded comparison get a default regex, so the
 # before/after pair is always measured on the same benchmark set:
 #
 #   scripts/bench.sh threeopt        # BenchmarkLargeSolve (vs threeopt_pre)
+#   scripts/bench.sh onetree         # Held-Karp bound + bound fan-out (vs onetree_pre)
 #
 # BENCHTIME overrides -benchtime (default 20x: the sparse/dense kernel
 # benchmarks are deterministic per iteration, so a fixed iteration count
@@ -28,6 +28,7 @@ threeopt*) default_regex='BenchmarkLargeSolve' ;;
 parallel*) default_regex='BenchmarkSolveParallel|BenchmarkBoundParallel' ;;
 exttsp*) default_regex='BenchmarkExtTSP' ;;
 heldkarp*) default_regex='BenchmarkHeldKarpBound' ;;
+onetree*) default_regex='BenchmarkHeldKarpBound|BenchmarkBoundParallel' ;;
 *) default_regex='.' ;;
 esac
 regex=${2:-$default_regex}

@@ -48,13 +48,17 @@ echo "== heldkarp-alloc gate (kernel must stay allocation-free per ascent)"
 # the boxed-heap implementation it replaced took ~227k. A named pass
 # with a hard allocs/op ceiling keeps that from silently regressing —
 # the catch-all smoke above would still "pass" a deoptimized kernel.
-out=$(go test -run '^$' -bench 'BenchmarkHeldKarpBound/synth5000' -benchtime 1x -benchmem -timeout 10m .)
+# largest/sparse is the bundled suite's largest function, the size
+# every production bound runs at.
+out=$(go test -run '^$' -bench 'BenchmarkHeldKarpBound/(synth5000|largest)/sparse' -benchtime 1x -benchmem -timeout 10m .)
 echo "$out"
-allocs=$(echo "$out" | awk '/BenchmarkHeldKarpBound\/synth5000/ {print $(NF-1)}')
-if [ -z "$allocs" ] || [ "$allocs" -gt 1000 ]; then
-	echo "ci: Held-Karp kernel allocation regression (${allocs:-no result} allocs/op, ceiling 1000)"
-	exit 1
-fi
+for row in synth5000/sparse largest/sparse; do
+	allocs=$(echo "$out" | awk -v row="BenchmarkHeldKarpBound/$row-" 'index($1, row) == 1 {print $(NF-1)}')
+	if [ -z "$allocs" ] || [ "$allocs" -gt 1000 ]; then
+		echo "ci: Held-Karp kernel allocation regression on $row (${allocs:-no result} allocs/op, ceiling 1000)"
+		exit 1
+	fi
+done
 
 echo "== metrics-smoke (boot balignd, align once, scrape /metrics)"
 # Black-box gate on the metrics plane: the exposition must be
