@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race race-obs race-engine vet-benchmarks vet-static bench bench-smoke bench-snapshot metrics-smoke trace-demo serve-demo clean
+.PHONY: ci fmt vet build test race race-obs race-engine vet-benchmarks vet-static golden-diff bench bench-smoke bench-snapshot metrics-smoke trace-demo serve-demo clean
 
-ci: fmt vet build race-obs race-engine race bench-smoke metrics-smoke vet-static
+ci: fmt vet build race-obs race-engine race bench-smoke metrics-smoke vet-static golden-diff
 
 # gofmt -l prints offending files; fail if any.
 fmt:
@@ -47,6 +47,15 @@ vet-benchmarks:
 # linter over the repo's own Go sources (see cmd/balignlint).
 vet-static: vet-benchmarks
 	$(GO) run ./cmd/balignlint
+
+# Regenerate the deterministic experiment outputs and require them
+# byte-identical to the committed goldens. experiments_all.txt is left
+# out: its Table 2 rows are wall-clock timings.
+golden-diff:
+	@for g in static exttsp ext; do \
+		echo "experiments -$$g vs results/experiments_$$g.txt"; \
+		$(GO) run ./cmd/experiments -$$g | cmp - results/experiments_$$g.txt || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -50,7 +50,7 @@ func BenchmarkExtTSPScalability(b *testing.B) {
 		a := align.NewExtTSP()
 		b.Run(sizeName(blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.Align(context.Background(), mod, prof, m)
+				align.Layout(context.Background(), a, mod, prof, m, nil)
 			}
 		})
 	}

@@ -219,7 +219,7 @@ func benchAlign(b *testing.B, a align.Aligner) {
 	m := machine.Alpha21164()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Align(context.Background(), mod, prof, m)
+		align.Layout(context.Background(), a, mod, prof, m, nil)
 	}
 }
 
@@ -305,7 +305,7 @@ func BenchmarkScalability(b *testing.B) {
 		a := align.NewTSP(1)
 		b.Run(sizeName(blocks), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a.Align(context.Background(), mod, prof, m)
+				align.Layout(context.Background(), a, mod, prof, m, nil)
 			}
 		})
 	}

@@ -4,7 +4,7 @@
 // optionally simulated execution time) under the resulting layout.
 //
 //	balign -src prog.mc -data "1,2,3,4" -aligner tsp -sim
-//	balign -src prog.mc -bench compress -dataset txt   (use a built-in benchmark instead)
+//	balign -bench compress -dataset txt   (a built-in benchmark instead of -src)
 //	balign -bench xli -dataset q7 -aligner all -sim
 //
 // The `vet` subcommand runs the pipeline-wide invariant checker
@@ -38,20 +38,19 @@ import (
 	"strings"
 
 	"branchalign/internal/align"
-	"branchalign/internal/bench"
 	"branchalign/internal/cfganal"
+	"branchalign/internal/engine"
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
 	"branchalign/internal/layout"
-	"branchalign/internal/lower"
 	"branchalign/internal/machine"
-	"branchalign/internal/minic"
 	"branchalign/internal/obs"
 	"branchalign/internal/opt"
 	"branchalign/internal/pipe"
 	"branchalign/internal/staticprof"
 	"branchalign/internal/stats"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 func main() {
@@ -153,11 +152,20 @@ func run(args []string) (err error) {
 		}()
 	}
 
-	mod, inputs, err := loadProgram(*srcPath, *benchName, *dataset, *data, *scalarN)
+	p, err := cliProgram(*srcPath, *benchName, *dataset, *data, *scalarN)
 	if err != nil {
 		return err
 	}
-	model, err := pickModel(*modelSel)
+	if *profIn != "" {
+		if p.Recorded, err = os.ReadFile(*profIn); err != nil {
+			return err
+		}
+	}
+	mod, inputs, err := p.Compile()
+	if err != nil {
+		return err
+	}
+	model, err := machine.ByName(*modelSel)
 	if err != nil {
 		return err
 	}
@@ -184,27 +192,17 @@ func run(args []string) (err error) {
 		psp.End(obs.Int("scale", info.Scale))
 		fmt.Printf("estimated static profile: scale %d per entry, %d branch sites covered\n",
 			info.Scale, prof.BranchSitesTouched(mod))
-	} else if *profIn != "" {
-		f, err := os.Open(*profIn)
-		if err != nil {
-			return err
-		}
-		prof, err = interp.ReadProfileJSON(f, mod)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded profile from %s (%d branch sites touched)\n", *profIn, prof.BranchSitesTouched(mod))
 	} else {
-		psp := root.Child("profile")
-		prof = interp.NewProfile(mod)
-		res, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31})
-		if err != nil {
-			return fmt.Errorf("profiling run failed: %w", err)
+		var res interp.Result
+		if prof, res, err = p.Profile(mod, inputs, root); err != nil {
+			return err
 		}
-		psp.End(obs.Int("steps", res.Steps), obs.Int("dyn_branches", res.DynBranches()))
-		fmt.Printf("profiled: %d IR instructions, %d dynamic branches, %d branch sites touched, ret=%d\n",
-			res.Steps, res.DynBranches(), prof.BranchSitesTouched(mod), res.Ret)
+		if *profIn != "" {
+			fmt.Printf("loaded profile from %s (%d branch sites touched)\n", *profIn, prof.BranchSitesTouched(mod))
+		} else {
+			fmt.Printf("profiled: %d IR instructions, %d dynamic branches, %d branch sites touched, ret=%d\n",
+				res.Steps, res.DynBranches(), prof.BranchSitesTouched(mod), res.Ret)
+		}
 	}
 	if *profOut != "" {
 		f, err := os.Create(*profOut)
@@ -232,9 +230,15 @@ func run(args []string) (err error) {
 		printLoops(mod, prof)
 	}
 
-	aligners, err := pickAligners(*alignSel, *seed, *parallel)
+	names, err := pickAligners(*alignSel)
 	if err != nil {
 		return err
+	}
+	// -parallel also fans functions out on the shared pool; results are
+	// bit-identical either way.
+	var pool *work.Pool
+	if *parallel != 0 {
+		pool = work.Shared()
 	}
 
 	origLayout := layout.Identity(mod, prof, model)
@@ -268,19 +272,17 @@ func run(args []string) (err error) {
 
 	table := stats.NewTable("aligner", "control penalty", "normalized", "cycles", "time vs original")
 	table.Rowf("original|%d|1.000|%s|1.0000", origCP, cyclesCell(*sim, origCycles))
-	for _, a := range aligners {
-		asp := root.Child("align", obs.String("aligner", a.Name()))
-		switch t := a.(type) {
-		case *align.TSP:
-			t.Obs = asp
-		case *align.ExtTSP:
-			t.Obs = asp
+	for _, name := range names {
+		asp := root.Child("align", obs.String("aligner", name))
+		a, err := align.New(name, align.Options{Seed: *seed, Parallelism: *parallel, Obs: asp})
+		if err != nil {
+			return err
 		}
-		l := a.Align(ctx, mod, prof, model)
+		l := align.Layout(ctx, a, mod, prof, model, pool)
 		if err := l.Validate(mod); err != nil {
 			return fmt.Errorf("%s produced an invalid layout: %w", a.Name(), err)
 		}
-		if *layoutOut != "" && len(aligners) == 1 {
+		if *layoutOut != "" && len(names) == 1 {
 			f, err := os.Create(*layoutOut)
 			if err != nil {
 				return err
@@ -359,98 +361,35 @@ func printLoops(mod *ir.Module, prof *interp.Profile) {
 	}
 }
 
-func loadProgram(srcPath, benchName, dataset, data string, scalarN int64) (*ir.Module, []interp.Input, error) {
-	if benchName != "" {
-		b, err := bench.ByName(benchName)
+// cliProgram assembles the loader input from the -src, -bench,
+// -dataset, -data and -n flags shared by the driver and its subcommands.
+// A negative n means "not given" (the flag default).
+func cliProgram(srcPath, benchName, dataset, data string, scalarN int64) (engine.Program, error) {
+	p := engine.Program{Bench: benchName, DataSet: dataset}
+	if srcPath != "" {
+		src, err := os.ReadFile(srcPath)
 		if err != nil {
-			return nil, nil, err
+			return p, err
 		}
-		if dataset == "" {
-			dataset = b.DataSets[0].Name
-		}
-		ds, err := b.DataSet(dataset)
-		if err != nil {
-			return nil, nil, err
-		}
-		mod, err := b.Compile()
-		if err != nil {
-			return nil, nil, err
-		}
-		return mod, ds.Make(), nil
+		p.Source = string(src)
 	}
-	if srcPath == "" {
-		return nil, nil, fmt.Errorf("need -src or -bench (see -help)")
-	}
-	src, err := os.ReadFile(srcPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := minic.Parse(string(src))
-	if err != nil {
-		return nil, nil, err
-	}
-	info, err := minic.Check(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	mod, err := lower.Program(info)
-	if err != nil {
-		return nil, nil, err
-	}
-	entry := mod.Funcs[mod.EntryFunc]
-	var arr []int64
 	if data != "" {
 		for _, part := range strings.Split(data, ",") {
 			v, err := strconv.ParseInt(strings.TrimSpace(part), 0, 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bad -data element %q: %w", part, err)
+				return p, fmt.Errorf("bad -data element %q: %w", part, err)
 			}
-			arr = append(arr, v)
+			p.Data = append(p.Data, v)
 		}
 	}
-	n := scalarN
-	if n < 0 {
-		n = int64(len(arr))
+	if scalarN >= 0 {
+		p.N = &scalarN
 	}
-	var inputs []interp.Input
-	switch {
-	case len(entry.Params) == 0:
-	case len(entry.Params) == 1 && entry.Params[0] == ir.ParamScalar:
-		inputs = []interp.Input{interp.ScalarInput(n)}
-	case len(entry.Params) == 2 && entry.Params[0] == ir.ParamArray && entry.Params[1] == ir.ParamScalar:
-		inputs = []interp.Input{interp.ArrayInput(arr), interp.ScalarInput(n)}
-	default:
-		return nil, nil, fmt.Errorf("entry main must have signature (), (n) or (input[], n)")
-	}
-	return mod, inputs, nil
+	return p, nil
 }
 
-func pickModel(name string) (machine.Model, error) {
-	for _, m := range machine.Models() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return machine.Model{}, fmt.Errorf("unknown model %q", name)
-}
-
-func pickAligners(sel string, seed int64, parallel int) ([]align.Aligner, error) {
-	o := align.Options{Seed: seed}
-	if parallel != 0 {
-		o.Parallel = true
-		o.Parallelism = parallel
-	}
-	build := func(names ...string) ([]align.Aligner, error) {
-		out := make([]align.Aligner, 0, len(names))
-		for _, name := range names {
-			a, err := align.New(name, o)
-			if err != nil {
-				return nil, fmt.Errorf("unknown aligner %q (known: %v)", name, align.Names())
-			}
-			out = append(out, a)
-		}
-		return out, nil
-	}
+// pickAligners resolves -aligner to registry names.
+func pickAligners(sel string) ([]string, error) {
 	switch sel {
 	case "all":
 		// Every registered aligner except the original-order baseline,
@@ -458,7 +397,7 @@ func pickAligners(sel string, seed int64, parallel int) ([]align.Aligner, error)
 		// is fixed (weakest heuristic to strongest solver), not the
 		// registry's alphabetical one, so the table reads as a
 		// progression.
-		return build("greedy", "calder-grunwald", "ap-patch", "tsp", "exttsp")
+		return []string{"greedy", "calder-grunwald", "ap-patch", "tsp", "exttsp"}, nil
 	case "original":
 		return nil, nil
 	case "cg":
@@ -466,7 +405,10 @@ func pickAligners(sel string, seed int64, parallel int) ([]align.Aligner, error)
 	case "patch":
 		sel = "ap-patch"
 	}
-	return build(sel)
+	if _, err := align.New(sel, align.Options{}); err != nil {
+		return nil, err
+	}
+	return []string{sel}, nil
 }
 
 func cyclesCell(sim bool, cycles machine.Cost) string {

@@ -5,25 +5,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"branchalign/internal/interp"
 	"branchalign/internal/ir"
 )
-
-func TestPickModel(t *testing.T) {
-	for _, name := range []string{"alpha21164", "shallow", "deep"} {
-		m, err := pickModel(name)
-		if err != nil || m.Name != name {
-			t.Errorf("pickModel(%q) = %v, %v", name, m.Name, err)
-		}
-	}
-	if _, err := pickModel("vax"); err == nil {
-		t.Error("expected error for unknown model")
-	}
-}
 
 func TestPickAligners(t *testing.T) {
 	cases := map[string]int{"all": 5, "original": 0, "greedy": 1, "cg": 1, "calder-grunwald": 1, "ap-patch": 1, "patch": 1, "tsp": 1, "exttsp": 1}
 	for sel, want := range cases {
-		as, err := pickAligners(sel, 1, 2)
+		as, err := pickAligners(sel)
 		if err != nil {
 			t.Errorf("pickAligners(%q): %v", sel, err)
 			continue
@@ -32,13 +21,23 @@ func TestPickAligners(t *testing.T) {
 			t.Errorf("pickAligners(%q) returned %d aligners, want %d", sel, len(as), want)
 		}
 	}
-	if _, err := pickAligners("quantum", 1, 0); err == nil {
+	if _, err := pickAligners("quantum"); err == nil {
 		t.Error("expected error for unknown aligner")
 	}
 }
 
+// compileFlags resolves the driver's program flags and compiles the
+// result, as run, vet and report do.
+func compileFlags(srcPath, benchName, dataset, data string, scalarN int64) (*ir.Module, []interp.Input, error) {
+	p, err := cliProgram(srcPath, benchName, dataset, data, scalarN)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Compile()
+}
+
 func TestLoadProgramFromBench(t *testing.T) {
-	mod, inputs, err := loadProgram("", "compress", "txt", "", -1)
+	mod, inputs, err := compileFlags("", "compress", "txt", "", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +45,19 @@ func TestLoadProgramFromBench(t *testing.T) {
 		t.Errorf("unexpected benchmark load result")
 	}
 	// Default data set when omitted.
-	if _, _, err := loadProgram("", "compress", "", "", -1); err != nil {
+	if _, _, err := compileFlags("", "compress", "", "", -1); err != nil {
 		t.Errorf("default data set failed: %v", err)
 	}
-	if _, _, err := loadProgram("", "nosuch", "", "", -1); err == nil {
+	if _, _, err := compileFlags("", "nosuch", "", "", -1); err == nil {
 		t.Error("expected error for unknown benchmark")
 	}
-	if _, _, err := loadProgram("", "compress", "nosuch", "", -1); err == nil {
+	if _, _, err := compileFlags("", "compress", "nosuch", "", -1); err == nil {
 		t.Error("expected error for unknown data set")
+	}
+	// A benchmark brings its own inputs: -data/-n next to -bench would
+	// otherwise be silently ignored.
+	if err := run([]string{"-bench", "compress", "-data", "1,2,3", "-n", "5"}); err == nil {
+		t.Error("-bench with -data/-n accepted")
 	}
 }
 
@@ -64,7 +68,7 @@ func TestLoadProgramFromSource(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mod, inputs, err := loadProgram(path, "", "", "3, 4, 5", -1)
+	mod, inputs, err := compileFlags(path, "", "", "3, 4, 5", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestLoadProgramFromSource(t *testing.T) {
 	if err := os.WriteFile(path2, []byte(`func main(n) { return n; }`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, inputs2, err := loadProgram(path2, "", "", "", 42)
+	_, inputs2, err := compileFlags(path2, "", "", "", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +95,15 @@ func TestLoadProgramFromSource(t *testing.T) {
 	if err := os.WriteFile(path3, []byte(`func main(a, b, c) { return a; }`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadProgram(path3, "", "", "", -1); err == nil {
+	if _, _, err := compileFlags(path3, "", "", "", -1); err == nil {
 		t.Error("expected error for unsupported entry signature")
 	}
 	// Bad -data element.
-	if _, _, err := loadProgram(path, "", "", "1,two,3", -1); err == nil {
+	if _, _, err := compileFlags(path, "", "", "1,two,3", -1); err == nil {
 		t.Error("expected error for malformed data")
 	}
 	// Neither -src nor -bench.
-	if _, _, err := loadProgram("", "", "", "", -1); err == nil {
+	if _, _, err := compileFlags("", "", "", "", -1); err == nil {
 		t.Error("expected usage error")
 	}
 }

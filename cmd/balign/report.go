@@ -12,11 +12,12 @@ import (
 	"strings"
 
 	"branchalign/internal/align"
-	"branchalign/internal/interp"
-	"branchalign/internal/ir"
+	"branchalign/internal/engine"
+	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 	"branchalign/internal/stats"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 // runReport implements `balign report`: a per-function convergence table
@@ -64,8 +65,10 @@ func runReport(args []string) int {
 			return 1
 		}
 	} else {
-		var err error
-		events, err = reportRun(*srcPath, *benchName, *dataset, *data, *scalarN, *modelSel, *algSel, *seed, *hkIters, *hkStall, *parallel)
+		p, err := cliProgram(*srcPath, *benchName, *dataset, *data, *scalarN)
+		if err == nil {
+			events, err = reportRun(p, *modelSel, *algSel, *seed, *hkIters, *hkStall, *parallel)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "balign report:", err)
 			return 1
@@ -77,16 +80,16 @@ func runReport(args []string) int {
 
 // reportRun executes the profile -> align -> Held-Karp pipeline with
 // an in-memory telemetry sink and returns the collected events.
-func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel, algorithm string, seed int64, hkIters, hkStall, parallel int) ([]obs.Event, error) {
-	mod, inputs, err := loadProgram(srcPath, benchName, dataset, data, scalarN)
+func reportRun(p engine.Program, modelSel, algorithm string, seed int64, hkIters, hkStall, parallel int) ([]obs.Event, error) {
+	mod, inputs, err := p.Compile()
 	if err != nil {
 		return nil, err
 	}
-	model, err := pickModel(modelSel)
+	model, err := machine.ByName(modelSel)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profileProgram(mod, inputs)
+	prof, _, err := p.Profile(mod, inputs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -95,13 +98,11 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 	tr := obs.New(sink)
 	root := tr.Start("balign.report", obs.String("model", modelSel),
 		obs.String("algorithm", algorithm), obs.Int("seed", seed))
-	aligner, err := align.New(algorithm, align.Options{
-		Seed: seed, Parallel: true, Parallelism: parallel, Obs: root,
-	})
+	aligner, err := align.New(algorithm, align.Options{Seed: seed, Parallelism: parallel, Obs: root})
 	if err != nil {
 		return nil, err
 	}
-	aligner.Align(context.Background(), mod, prof, model)
+	align.Layout(context.Background(), aligner, mod, prof, model, work.Shared())
 	align.HeldKarpLowerBound(mod, prof, model, tsp.HeldKarpOptions{
 		Iterations: hkIters, StallWindow: hkStall, Obs: root,
 	})
@@ -110,15 +111,6 @@ func reportRun(srcPath, benchName, dataset, data string, scalarN int64, modelSel
 		return nil, err
 	}
 	return sink.Events(), nil
-}
-
-// profileProgram runs the training execution and returns the profile.
-func profileProgram(mod *ir.Module, inputs []interp.Input) (*interp.Profile, error) {
-	prof := interp.NewProfile(mod)
-	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
-		return nil, fmt.Errorf("profiling run failed: %w", err)
-	}
-	return prof, nil
 }
 
 // reportRow is one function's joined solver + bound telemetry.

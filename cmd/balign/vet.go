@@ -9,8 +9,7 @@ import (
 	"branchalign/internal/align"
 	"branchalign/internal/bench"
 	"branchalign/internal/check"
-	"branchalign/internal/interp"
-	"branchalign/internal/ir"
+	"branchalign/internal/engine"
 	"branchalign/internal/machine"
 	"branchalign/internal/staticprof"
 )
@@ -41,7 +40,7 @@ func runVet(args []string) int {
 	)
 	fs.Parse(args)
 
-	model, err := pickModel(*modelSel)
+	model, err := machine.ByName(*modelSel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1
@@ -59,21 +58,16 @@ func runVet(args []string) int {
 	exit := 0
 	if *all {
 		for _, b := range bench.All() {
-			mod, err := b.Compile()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "balign vet: %s: %v\n", b.Name, err)
-				return 1
-			}
 			// The smaller data set keeps -all fast; the audited invariants
 			// are input-independent.
-			ds := b.DataSets[len(b.DataSets)-1]
-			if !vetProgram(b.Name, mod, ds.Make(), aligners, model, opts, *verbose) {
+			p := engine.Program{Bench: b.Name, DataSet: b.DataSets[len(b.DataSets)-1].Name}
+			if !vetProgram(b.Name, p, aligners, model, opts, *verbose) {
 				exit = 1
 			}
 		}
 		return exit
 	}
-	mod, inputs, err := loadProgram(*srcPath, *benchName, *dataset, *data, *scalarN)
+	p, err := cliProgram(*srcPath, *benchName, *dataset, *data, *scalarN)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "balign vet:", err)
 		return 1
@@ -82,18 +76,24 @@ func runVet(args []string) int {
 	if name == "" {
 		name = *srcPath
 	}
-	if !vetProgram(name, mod, inputs, aligners, model, opts, *verbose) {
+	if !vetProgram(name, p, aligners, model, opts, *verbose) {
 		exit = 1
 	}
 	return exit
 }
 
-// vetProgram profiles one module and audits it under every aligner's
-// layout, printing findings. It reports whether no invariant was broken.
-func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []align.Aligner, model machine.Model, opts check.Options, verbose bool) bool {
-	prof := interp.NewProfile(mod)
-	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
-		fmt.Fprintf(os.Stderr, "balign vet: %s: profiling run failed: %v\n", name, err)
+// vetProgram compiles and profiles one program and audits it under every
+// aligner's layout, printing findings. It reports whether no invariant
+// was broken.
+func vetProgram(name string, p engine.Program, aligners []align.Aligner, model machine.Model, opts check.Options, verbose bool) bool {
+	mod, inputs, err := p.Compile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "balign vet: %s: %v\n", name, err)
+		return false
+	}
+	prof, _, err := p.Profile(mod, inputs, nil)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "balign vet: %s: %v\n", name, err)
 		return false
 	}
 	// Module structure, dataflow lints and flow conservation are
@@ -110,7 +110,7 @@ func vetProgram(name string, mod *ir.Module, inputs []interp.Input, aligners []a
 	base.Merge(check.Flow(mod, est))
 	ok := printVetReport(name, base, verbose)
 	for _, a := range aligners {
-		l := a.Align(context.Background(), mod, prof, model)
+		l := align.Layout(context.Background(), a, mod, prof, model, nil)
 		r := check.Layouts(mod, prof, l, model)
 		if opts.Bounds {
 			r.Merge(check.Bounds(mod, prof, l, model, opts.BoundsOptions))
@@ -141,15 +141,16 @@ func printVetReport(target string, r *check.Report, verbose bool) bool {
 // order still gets its patch, placement, cost and bound audits), and
 // "all" includes it.
 func pickVetAligners(sel string, seed int64) ([]align.Aligner, error) {
-	switch sel {
-	case "all":
-		all, err := pickAligners("all", seed, 0)
-		if err != nil {
-			return nil, err
-		}
-		return append([]align.Aligner{align.Original{}}, all...), nil
-	case "original":
-		return []align.Aligner{align.Original{}}, nil
+	names, err := pickAligners(sel)
+	if err != nil {
+		return nil, err
 	}
-	return pickAligners(sel, seed, 0)
+	if sel == "all" || sel == "original" {
+		names = append([]string{"original"}, names...)
+	}
+	out := make([]align.Aligner, len(names))
+	for i, name := range names {
+		out[i], _ = align.New(name, align.Options{Seed: seed}) // pickAligners validated name
+	}
+	return out, nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,13 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"branchalign/internal/bench"
 	"branchalign/internal/engine"
 	"branchalign/internal/interp"
-	"branchalign/internal/ir"
-	"branchalign/internal/lower"
 	"branchalign/internal/machine"
-	"branchalign/internal/minic"
 	"branchalign/internal/obs"
 	"branchalign/internal/stats"
 	"branchalign/internal/tsp"
@@ -381,18 +376,21 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	mod, inputs, err := buildModule(req)
+	p := engine.Program{
+		Bench: req.Bench, DataSet: req.DataSet, Source: req.Source,
+		Data: req.Data, N: req.N, Recorded: req.Profile,
+	}
+	mod, inputs, err := p.Compile()
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	model, err := pickModel(req.Model)
+	model, err := machine.ByName(req.Model)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	var prof *interp.Profile
 	if !static {
-		prof, err = buildProfile(mod, inputs, req.Profile)
-		if err != nil {
+		if prof, _, err = p.Profile(mod, inputs, nil); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
 	}
@@ -487,98 +485,4 @@ func pickProfileMode(req alignRequest) (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown profile_mode %q (want \"measured\" or \"static\")", req.ProfileMode)
-}
-
-// buildModule compiles the requested program — inline Mini-C source or
-// a bundled benchmark — and shapes its training input.
-func buildModule(req alignRequest) (*ir.Module, []interp.Input, error) {
-	switch {
-	case req.Bench != "" && req.Source != "":
-		return nil, nil, fmt.Errorf("request has both source and bench; pick one")
-	case req.Bench != "":
-		b, err := bench.ByName(req.Bench)
-		if err != nil {
-			return nil, nil, err
-		}
-		name := req.DataSet
-		if name == "" {
-			name = b.DataSets[0].Name
-		}
-		ds, err := b.DataSet(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		mod, err := b.Compile()
-		if err != nil {
-			return nil, nil, err
-		}
-		return mod, ds.Make(), nil
-	case req.Source != "":
-		prog, err := minic.Parse(req.Source)
-		if err != nil {
-			return nil, nil, fmt.Errorf("parsing source: %w", err)
-		}
-		info, err := minic.Check(prog)
-		if err != nil {
-			return nil, nil, fmt.Errorf("checking source: %w", err)
-		}
-		mod, err := lower.Program(info)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lowering source: %w", err)
-		}
-		inputs, err := shapeInputs(mod, req.Data, req.N)
-		if err != nil {
-			return nil, nil, err
-		}
-		return mod, inputs, nil
-	}
-	return nil, nil, fmt.Errorf("request needs source or bench")
-}
-
-// shapeInputs matches the program entry signature against the provided
-// data, exactly as the balign CLI does.
-func shapeInputs(mod *ir.Module, data []int64, scalarN *int64) ([]interp.Input, error) {
-	entry := mod.Funcs[mod.EntryFunc]
-	n := int64(len(data))
-	if scalarN != nil {
-		n = *scalarN
-	}
-	switch {
-	case len(entry.Params) == 0:
-		return nil, nil
-	case len(entry.Params) == 1 && entry.Params[0] == ir.ParamScalar:
-		return []interp.Input{interp.ScalarInput(n)}, nil
-	case len(entry.Params) == 2 && entry.Params[0] == ir.ParamArray && entry.Params[1] == ir.ParamScalar:
-		return []interp.Input{interp.ArrayInput(data), interp.ScalarInput(n)}, nil
-	}
-	return nil, fmt.Errorf("entry main must have signature (), (n) or (input[], n)")
-}
-
-// buildProfile returns the training profile: parsed from the request
-// when supplied, collected by running the program otherwise.
-func buildProfile(mod *ir.Module, inputs []interp.Input, raw json.RawMessage) (*interp.Profile, error) {
-	if len(raw) > 0 {
-		prof, err := interp.ReadProfileJSON(bytes.NewReader(raw), mod)
-		if err != nil {
-			return nil, fmt.Errorf("reading profile: %w", err)
-		}
-		return prof, nil
-	}
-	prof := interp.NewProfile(mod)
-	if _, err := interp.Run(mod, inputs, interp.Options{Profile: prof, MaxSteps: 1 << 31}); err != nil {
-		return nil, fmt.Errorf("profiling run failed: %w", err)
-	}
-	return prof, nil
-}
-
-func pickModel(name string) (machine.Model, error) {
-	if name == "" {
-		name = "alpha21164"
-	}
-	for _, m := range machine.Models() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return machine.Model{}, fmt.Errorf("unknown model %q", name)
 }

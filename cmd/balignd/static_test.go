@@ -135,6 +135,28 @@ func TestAlignErrorKinds(t *testing.T) {
 			wantKind: "profile_conflict",
 		},
 		{
+			name:     "bench with inline data",
+			req:      alignRequest{Bench: "compress", Data: testData(8, 1), N: new(int64)},
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
+		{
+			name:     "dataset without bench",
+			req:      alignRequest{Source: testutil.BranchySource, DataSet: "txt"},
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
+		{
+			name: "recorded profile with inline data",
+			req: alignRequest{
+				Source:  testutil.BranchySource,
+				Data:    testData(8, 1),
+				Profile: json.RawMessage(`{"funcs":[]}`),
+			},
+			wantCode: http.StatusBadRequest,
+			wantKind: "profile_conflict",
+		},
+		{
 			name:     "no program",
 			req:      alignRequest{ProfileMode: "static"},
 			wantCode: http.StatusBadRequest,

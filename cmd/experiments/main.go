@@ -138,15 +138,8 @@ func run(o runOpts) (err error) {
 			return werr
 		}
 	}
-	found := false
-	for _, m := range machine.Models() {
-		if m.Name == o.modelSel {
-			s.Model = m
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("unknown model %q", o.modelSel)
+	if s.Model, err = machine.ByName(o.modelSel); err != nil {
+		return err
 	}
 
 	if o.all || o.table3 {

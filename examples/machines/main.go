@@ -36,9 +36,9 @@ func main() {
 	fmt.Printf("%-12s %14s %14s %14s %10s %10s\n",
 		"model", "original CP", "greedy CP", "tsp CP", "greedy rm%", "tsp rm%")
 	for _, model := range machine.Models() {
-		orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, model), prof, model)
-		greedy := layout.ModulePenalty(mod, align.PettisHansen{}.Align(context.Background(), mod, prof, model), prof, model)
-		tspCP := layout.ModulePenalty(mod, align.NewTSP(1).Align(context.Background(), mod, prof, model), prof, model)
+		orig := layout.ModulePenalty(mod, align.Layout(context.Background(), align.Original{}, mod, prof, model, nil), prof, model)
+		greedy := layout.ModulePenalty(mod, align.Layout(context.Background(), align.PettisHansen{}, mod, prof, model, nil), prof, model)
+		tspCP := layout.ModulePenalty(mod, align.Layout(context.Background(), align.NewTSP(1), mod, prof, model, nil), prof, model)
 		fmt.Printf("%-12s %14d %14d %14d %9.1f%% %9.1f%%\n",
 			model.Name, orig, greedy, tspCP,
 			100*(1-float64(greedy)/float64(orig)),

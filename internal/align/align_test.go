@@ -11,6 +11,7 @@ import (
 	"branchalign/internal/machine"
 	"branchalign/internal/testutil"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 func compileBranchy(t *testing.T) (*ir.Module, *interp.Profile) {
@@ -54,7 +55,7 @@ func TestAlignersProduceValidLayouts(t *testing.T) {
 	m := machine.Alpha21164()
 	aligners := []Aligner{Original{}, PettisHansen{}, &CalderGrunwald{}, NewTSP(1)}
 	for _, a := range aligners {
-		l := a.Align(context.Background(), mod, prof, m)
+		l := Layout(context.Background(), a, mod, prof, m, nil)
 		if err := l.Validate(mod); err != nil {
 			t.Errorf("%s: invalid layout: %v", a.Name(), err)
 		}
@@ -64,10 +65,10 @@ func TestAlignersProduceValidLayouts(t *testing.T) {
 func TestAlignerImprovementOrdering(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	greedy := layout.ModulePenalty(mod, PettisHansen{}.Align(context.Background(), mod, prof, m), prof, m)
-	cg := layout.ModulePenalty(mod, (&CalderGrunwald{}).Align(context.Background(), mod, prof, m), prof, m)
-	tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+	orig := layout.ModulePenalty(mod, Layout(context.Background(), Original{}, mod, prof, m, nil), prof, m)
+	greedy := layout.ModulePenalty(mod, Layout(context.Background(), PettisHansen{}, mod, prof, m, nil), prof, m)
+	cg := layout.ModulePenalty(mod, Layout(context.Background(), &CalderGrunwald{}, mod, prof, m, nil), prof, m)
+	tspPen := layout.ModulePenalty(mod, Layout(context.Background(), NewTSP(1), mod, prof, m, nil), prof, m)
 	if greedy > orig {
 		t.Errorf("greedy penalty %d worse than original %d", greedy, orig)
 	}
@@ -94,7 +95,7 @@ func TestTSPMatchesExactOnSmallFunctions(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
 	a := NewTSP(1)
-	l := a.Align(context.Background(), mod, prof, m)
+	l := Layout(context.Background(), a, mod, prof, m, nil)
 	for fi, f := range mod.Funcs {
 		n := len(f.Blocks)
 		if n < 2 || n > 12 {
@@ -118,8 +119,8 @@ func TestBoundsSandwich(t *testing.T) {
 	m := machine.Alpha21164()
 	hk := HeldKarpLowerBound(mod, prof, m, tsp.HeldKarpOptions{})
 	ap := AssignmentLowerBound(mod, prof, m)
-	tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
-	origPen := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
+	tspPen := layout.ModulePenalty(mod, Layout(context.Background(), NewTSP(1), mod, prof, m, nil), prof, m)
+	origPen := layout.ModulePenalty(mod, Layout(context.Background(), Original{}, mod, prof, m, nil), prof, m)
 	if ap > tspPen {
 		t.Errorf("AP bound %d exceeds TSP penalty %d", ap, tspPen)
 	}
@@ -155,7 +156,7 @@ func TestGreedyHandlesZeroProfile(t *testing.T) {
 	prof := interp.NewProfile(mod)
 	m := machine.Alpha21164()
 	for _, a := range []Aligner{PettisHansen{}, &CalderGrunwald{}, NewTSP(1)} {
-		l := a.Align(context.Background(), mod, prof, m)
+		l := Layout(context.Background(), a, mod, prof, m, nil)
 		if err := l.Validate(mod); err != nil {
 			t.Errorf("%s on zero profile: %v", a.Name(), err)
 		}
@@ -186,7 +187,7 @@ func main(input[], n) {
 		t.Fatal(err)
 	}
 	m := machine.Alpha21164()
-	l := PettisHansen{}.Align(context.Background(), mod, prof, m)
+	l := Layout(context.Background(), PettisHansen{}, mod, prof, m, nil)
 	f := mod.Funcs[mod.EntryFunc]
 	fp := prof.Funcs[mod.EntryFunc]
 	fl := l.Funcs[mod.EntryFunc]
@@ -212,7 +213,7 @@ func TestSolveFuncDiagnostics(t *testing.T) {
 	m := machine.Alpha21164()
 	a := NewTSP(1)
 	for fi, f := range mod.Funcs {
-		res := a.SolveFunc(f, prof.Funcs[fi], m, tsp.PaperSolveOptions(1), int64(fi))
+		res := a.AlignFunc(context.Background(), fi, f, prof.Funcs[fi], m)
 		if res.Cities != len(f.Blocks) {
 			t.Errorf("func %d: Cities = %d, want %d", fi, res.Cities, len(f.Blocks))
 		}
@@ -237,8 +238,8 @@ func TestDeterministicAlignment(t *testing.T) {
 		func() Aligner { return NewTSP(7) },
 	} {
 		a1, a2 := mk(), mk()
-		l1 := a1.Align(context.Background(), mod, prof, m)
-		l2 := a2.Align(context.Background(), mod, prof, m)
+		l1 := Layout(context.Background(), a1, mod, prof, m, nil)
+		l2 := Layout(context.Background(), a2, mod, prof, m, nil)
 		for fi := range l1.Funcs {
 			for k := range l1.Funcs[fi].Order {
 				if l1.Funcs[fi].Order[k] != l2.Funcs[fi].Order[k] {
@@ -266,8 +267,8 @@ func TestAlignerNames(t *testing.T) {
 func TestDeepPipeIncreasesAlignmentBenefit(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	benefit := func(m machine.Model) layout.Cost {
-		orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
-		tspPen := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+		orig := layout.ModulePenalty(mod, Layout(context.Background(), Original{}, mod, prof, m, nil), prof, m)
+		tspPen := layout.ModulePenalty(mod, Layout(context.Background(), NewTSP(1), mod, prof, m, nil), prof, m)
 		return orig - tspPen
 	}
 	shallow := benefit(machine.ShallowPipe())
@@ -277,27 +278,28 @@ func TestDeepPipeIncreasesAlignmentBenefit(t *testing.T) {
 	}
 }
 
-// TestParallelAlignmentIdentical: parallel per-function solving is
-// bit-identical to sequential (each function has its own seeded stream),
-// and so is per-run parallelism inside each solve — alone and stacked
-// on top of the per-function fan-out, where both layers contend for the
-// same shared worker pool.
+// TestParallelAlignmentIdentical: fanning functions out on a real pool
+// is bit-identical to the sequential nil-pool loop (each function has
+// its own seeded stream), and so is per-run parallelism inside each
+// solve — alone and stacked on top of the per-function fan-out, where
+// both layers contend for the same worker pool.
 func TestParallelAlignmentIdentical(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	seq := NewTSP(5)
-	l1 := seq.Align(context.Background(), mod, prof, m)
-	for name, mk := range map[string]func() *TSP{
-		"funcs": func() *TSP { a := NewTSP(5); a.Parallel = true; return a },
-		"runs":  func() *TSP { a := NewTSP(5); a.Opts.Parallelism = 4; return a },
-		"both": func() *TSP {
-			a := NewTSP(5)
-			a.Parallel = true
-			a.Opts.Parallelism = 4
-			return a
-		},
+	pool := work.NewPool(4)
+	l1 := Layout(context.Background(), NewTSP(5), mod, prof, m, nil)
+	runs := func() *TSP {
+		a := NewTSP(5)
+		a.Opts.Parallelism = 4
+		a.Opts.Pool = pool
+		return a
+	}
+	for name, align := range map[string]func() *layout.Layout{
+		"funcs": func() *layout.Layout { return Layout(context.Background(), NewTSP(5), mod, prof, m, pool) },
+		"runs":  func() *layout.Layout { return Layout(context.Background(), runs(), mod, prof, m, nil) },
+		"both":  func() *layout.Layout { return Layout(context.Background(), runs(), mod, prof, m, pool) },
 	} {
-		l2 := mk().Align(context.Background(), mod, prof, m)
+		l2 := align()
 		for fi := range l1.Funcs {
 			for k := range l1.Funcs[fi].Order {
 				if l1.Funcs[fi].Order[k] != l2.Funcs[fi].Order[k] {

@@ -103,20 +103,17 @@ func BuildSparseMatrix(f *ir.Func, fp *interp.FuncProfile, pred []int, m machine
 // with multi-start iterated 3-opt (exactly for small functions).
 type TSP struct {
 	// Opts configures the solver; the zero value selects the paper's
-	// protocol (10 runs, 2N iterations) with seed 1.
+	// protocol (10 runs, 2N iterations) with seed 1. Function fi solves
+	// with Opts.Seed+fi. Opts.Pool is where per-run parallelism
+	// (Opts.Parallelism) draws its workers: sharing it with the
+	// per-function fan-out keeps the two layers from oversubscribing
+	// the machine.
 	Opts tsp.SolveOptions
-	// Parallel solves the per-function DTSPs on all CPUs (the shared
-	// work.Shared() pool). Functions are independent and each gets its
-	// own deterministic seed, so the result is bit-identical to the
-	// sequential run. Composes with per-run solver parallelism
-	// (Opts.Parallelism): both layers draw workers from the same pool,
-	// so enabling both never oversubscribes the machine.
-	Parallel bool
 	// Obs, when non-nil, is the parent span per-function solver telemetry
 	// is recorded under: one "align.func" span per function (matrix
 	// build, per-row exception histogram, tsp.solve sub-spans with
-	// convergence series). Safe with Parallel — spans are created
-	// concurrently under the shared parent. Nil records nothing.
+	// convergence series). Spans may be created concurrently under the
+	// shared parent. Nil records nothing.
 	Obs *obs.Span
 }
 
@@ -128,11 +125,10 @@ func NewTSP(seed int64) *TSP {
 // Name implements Aligner.
 func (*TSP) Name() string { return "tsp" }
 
-// Align implements Aligner. A cancelled ctx (or an exhausted
-// t.Opts.Budget) truncates each in-flight per-function solve at its next
-// kick boundary and finalizes the best-so-far block orders; the returned
-// layout is always valid.
-func (t *TSP) Align(ctx context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
+// AlignFunc implements Aligner. A cancelled ctx (or an exhausted
+// Opts.Budget) truncates the solve at its next kick boundary and returns
+// the best-so-far order.
+func (t *TSP) AlignFunc(ctx context.Context, fi int, f *ir.Func, fp *interp.FuncProfile, m machine.Model) FuncResult {
 	opts := t.Opts
 	if opts.GreedyStarts == 0 && opts.NNStarts == 0 && opts.IdentityStarts == 0 {
 		def := tsp.PaperSolveOptions(1)
@@ -143,66 +139,8 @@ func (t *TSP) Align(ctx context.Context, mod *ir.Module, prof *interp.Profile, m
 	if ctx != nil {
 		opts.Context = ctx
 	}
-	orders := make([][]int, len(mod.Funcs))
-	forEachFunc(mod, t.Parallel, func(fi int, f *ir.Func) {
-		orders[fi] = t.alignFunc(f, prof.Funcs[fi], m, opts, int64(fi))
-	})
-	return finalizeOrders(mod, prof, m, orders)
-}
-
-// forEachFunc evaluates fn(fi, f) for every function of the module — on
-// the process-wide worker pool when parallel is true, sequentially
-// otherwise. Functions are independent and results are written by index,
-// so the parallel schedule is observationally identical to the
-// sequential loop. Any per-run parallelism inside fn's solves nests on
-// the same pool (see tsp.SolveOptions.Pool), keeping the total worker
-// count bounded.
-func forEachFunc(mod *ir.Module, parallel bool, fn func(fi int, f *ir.Func)) {
-	if !parallel {
-		for fi, f := range mod.Funcs {
-			fn(fi, f)
-		}
-		return
-	}
-	work.Shared().Each(len(mod.Funcs), func(fi int) {
-		fn(fi, mod.Funcs[fi])
-	})
-}
-
-// AlignFuncResult carries per-function solver diagnostics, used by the
-// appendix experiment.
-type AlignFuncResult struct {
-	FuncIndex  int
-	Cities     int
-	Order      []int
-	Cost       tsp.Cost
-	Exact      bool
-	Runs       int
-	RunsAtBest int
-	// IterationsToBest is the kick iteration at which the winning run
-	// found the final tour; MovesTried/MovesAccepted total the 3-opt
-	// segment-exchange moves examined and applied across all runs, and
-	// OrMovesTried/OrMovesAccepted the Or-opt relocations (see
-	// tsp.Result).
-	IterationsToBest              int
-	MovesTried, MovesAccepted     int64
-	OrMovesTried, OrMovesAccepted int64
-	// Kicks totals the kick rounds performed; Truncated marks a solve
-	// cut short by its context or budget (see tsp.Result).
-	Kicks     int64
-	Truncated bool
-}
-
-func (t *TSP) alignFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.SolveOptions, seedOffset int64) []int {
-	res := t.SolveFunc(f, fp, m, opts, seedOffset)
-	return res.Order
-}
-
-// SolveFunc runs the solver on one function's DTSP and returns the block
-// order plus diagnostics.
-func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opts tsp.SolveOptions, seedOffset int64) AlignFuncResult {
 	n := len(f.Blocks)
-	out := AlignFuncResult{Cities: n}
+	out := FuncResult{Cities: n}
 	sp := t.Obs.Child("align.func", obs.String("func", f.Name), obs.Int("cities", int64(n)),
 		obs.String("algorithm", "tsp"))
 	if n == 1 {
@@ -223,7 +161,7 @@ func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opt
 			sp.Observe("align.row_exceptions", float64(len(cols)))
 		}
 	}
-	opts.Seed += seedOffset
+	opts.Seed += int64(fi)
 	opts.Obs = sp
 	res := tsp.Solve(mat, opts)
 	res.Tour.RotateTo(0)
@@ -232,11 +170,6 @@ func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opt
 	out.Exact = res.Exact
 	out.Runs = res.Runs
 	out.RunsAtBest = res.RunsAtBest
-	out.IterationsToBest = res.IterationsToBest
-	out.MovesTried = res.MovesTried
-	out.MovesAccepted = res.MovesAccepted
-	out.OrMovesTried = res.OrMovesTried
-	out.OrMovesAccepted = res.OrMovesAccepted
 	out.Kicks = res.Kicks
 	out.Truncated = res.Truncated
 	sp.End(obs.Int("cost", res.Cost), obs.Bool("exact", res.Exact), obs.Bool("truncated", res.Truncated),
@@ -253,8 +186,8 @@ func (t *TSP) SolveFunc(f *ir.Func, fp *interp.FuncProfile, m machine.Model, opt
 // the result is identical to the sequential loop.
 func eachFuncBound(mod *ir.Module, bound func(fi int, f *ir.Func) layout.Cost) layout.Cost {
 	per := make([]layout.Cost, len(mod.Funcs))
-	forEachFunc(mod, true, func(fi int, f *ir.Func) {
-		per[fi] = bound(fi, f)
+	work.Shared().Each(len(mod.Funcs), func(fi int) {
+		per[fi] = bound(fi, mod.Funcs[fi])
 	})
 	var total layout.Cost
 	for _, c := range per {

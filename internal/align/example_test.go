@@ -31,8 +31,8 @@ func main(n) {
 		return
 	}
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	tsp := layout.ModulePenalty(mod, align.NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+	orig := layout.ModulePenalty(mod, align.Layout(context.Background(), align.Original{}, mod, prof, m, nil), prof, m)
+	tsp := layout.ModulePenalty(mod, align.Layout(context.Background(), align.NewTSP(1), mod, prof, m, nil), prof, m)
 	fmt.Printf("original %d cycles, aligned %d cycles\n", orig, tsp)
 	// Output: original 7405 cycles, aligned 1607 cycles
 }

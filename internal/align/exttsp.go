@@ -41,10 +41,6 @@ type ExtTSP struct {
 	// Params is the objective; the zero value selects
 	// layout.DefaultExtTSPParams().
 	Params layout.ExtTSPParams
-	// Parallel lays out the module's functions on the shared worker
-	// pool. Functions are independent and the per-function algorithm is
-	// sequential, so results are bit-identical to the sequential run.
-	Parallel bool
 	// Obs, when non-nil, is the parent span per-function telemetry is
 	// recorded under (one "align.func" span per function, tagged
 	// algorithm=exttsp).
@@ -66,55 +62,26 @@ func (e *ExtTSP) params() layout.ExtTSPParams {
 	return e.Params
 }
 
-// Align implements Aligner. A cancelled ctx stops each in-flight
-// per-function merge loop at its next merge boundary; the chains built
-// so far are concatenated into a valid (merely weaker) layout.
-func (e *ExtTSP) Align(ctx context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
-	orders := make([][]int, len(mod.Funcs))
-	forEachFunc(mod, e.Parallel, func(fi int, f *ir.Func) {
-		orders[fi] = e.AlignFunc(ctx, f, prof.Funcs[fi], m).Order
-	})
-	return finalizeOrders(mod, prof, m, orders)
-}
-
-// ExtTSPFuncResult carries one function's chain-merging outcome.
-type ExtTSPFuncResult struct {
-	Cities int
-	// Order is the final block order (always a valid permutation with
-	// the entry block first).
-	Order []int
-	// Score is the ExtTSP objective of Order (layout.ExtTSPScore).
-	Score float64
-	// Cost is the control penalty of Order under the training profile —
-	// the cross-objective readout that lets ExtTSP layouts sit in the
-	// same tables as DTSP tours.
-	Cost layout.Cost
-	// Merges counts accepted chain merges; Truncated marks a merge loop
-	// cut short by ctx.
-	Merges    int
-	Truncated bool
-}
-
-// AlignFunc runs the chain-merging algorithm on a single function.
-func (e *ExtTSP) AlignFunc(ctx context.Context, f *ir.Func, fp *interp.FuncProfile, m machine.Model) ExtTSPFuncResult {
+// AlignFunc implements Aligner: it runs the chain-merging algorithm on
+// one function. A cancelled ctx stops the merge loop at its next merge
+// boundary; the chains built so far are concatenated into a valid
+// (merely weaker) order.
+func (e *ExtTSP) AlignFunc(ctx context.Context, _ int, f *ir.Func, fp *interp.FuncProfile, m machine.Model) FuncResult {
 	n := len(f.Blocks)
 	sp := e.Obs.Child("align.func",
 		obs.String("func", f.Name), obs.Int("cities", int64(n)),
 		obs.String("algorithm", "exttsp"))
-	out := ExtTSPFuncResult{Cities: n}
 	if n == 1 {
-		out.Order = []int{0}
 		sp.End(obs.Int("cost", 0), obs.Float("score", 0))
-		return out
+		return FuncResult{Cities: 1, Order: []int{0}}
 	}
 	s := newExtSolver(f, fp, e.params())
-	out.Merges, out.Truncated = s.run(ctx)
-	out.Order = s.finalOrder()
+	merges, truncated := s.run(ctx)
+	out := priced(f, fp, m, s.finalOrder())
+	out.Truncated = truncated
 	out.Score = layout.ExtTSPScore(f, fp, out.Order, e.params())
-	fl := layout.Finalize(f, fp, out.Order, m)
-	out.Cost = layout.Penalty(f, fl, fp, m)
 	sp.End(obs.Int("cost", int64(out.Cost)), obs.Float("score", out.Score),
-		obs.Int("merges", int64(out.Merges)), obs.Bool("truncated", out.Truncated))
+		obs.Int("merges", int64(merges)), obs.Bool("truncated", truncated))
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"branchalign/internal/bench"
 	"branchalign/internal/layout"
 	"branchalign/internal/machine"
+	"branchalign/internal/work"
 )
 
 // TestExtTSPValidOnBenchmarks: the chain merger yields a valid layout on
@@ -20,12 +21,12 @@ func TestExtTSPValidOnBenchmarks(t *testing.T) {
 	m := machine.Alpha21164()
 	p := layout.DefaultExtTSPParams()
 	a := NewExtTSP()
-	l := a.Align(context.Background(), mod, prof, m)
+	l := Layout(context.Background(), a, mod, prof, m, nil)
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("invalid layout: %v", err)
 	}
 	got := layout.ModuleExtTSPScore(mod, l, prof, p)
-	orig := layout.ModuleExtTSPScore(mod, Original{}.Align(context.Background(), mod, prof, m), prof, p)
+	orig := layout.ModuleExtTSPScore(mod, Layout(context.Background(), Original{}, mod, prof, m, nil), prof, p)
 	if got < orig {
 		t.Errorf("exttsp score %.3f below original %.3f", got, orig)
 	}
@@ -43,7 +44,7 @@ func TestQuickExtTSPValidOnSynthCFGs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		l := NewExtTSP().Align(context.Background(), mod, prof, m)
+		l := Layout(context.Background(), NewExtTSP(), mod, prof, m, nil)
 		if err := l.Validate(mod); err != nil {
 			t.Logf("blocks=%d seed=%d: %v", blocks, seedRaw, err)
 			return false
@@ -55,16 +56,17 @@ func TestQuickExtTSPValidOnSynthCFGs(t *testing.T) {
 	}
 }
 
-// TestExtTSPDeterministic: the parallel run is bit-identical to the
-// sequential run (functions are independent; the per-function merge is
-// sequential), and repeated runs agree. This is the schedule-independence
-// contract CI's GOMAXPROCS=2 race step exercises.
+// TestExtTSPDeterministic: a run on a real pool is bit-identical to the
+// sequential nil-pool run (functions are independent; the per-function
+// merge is sequential), and repeated runs agree. This is the
+// schedule-independence contract CI's GOMAXPROCS=2 race step exercises.
 func TestExtTSPDeterministic(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	seq := NewExtTSP().Align(context.Background(), mod, prof, m)
+	pool := work.NewPool(4)
+	seq := Layout(context.Background(), NewExtTSP(), mod, prof, m, nil)
 	for trial := 0; trial < 4; trial++ {
-		par := (&ExtTSP{Parallel: true}).Align(context.Background(), mod, prof, m)
+		par := Layout(context.Background(), NewExtTSP(), mod, prof, m, pool)
 		for fi := range mod.Funcs {
 			so, po := seq.Funcs[fi].Order, par.Funcs[fi].Order
 			for i := range so {
@@ -86,11 +88,11 @@ func TestExtTSPCancelledContextStillValid(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := NewExtTSP()
-	l := a.Align(ctx, mod, prof, m)
+	l := Layout(ctx, a, mod, prof, m, nil)
 	if err := l.Validate(mod); err != nil {
 		t.Fatalf("truncated layout invalid: %v", err)
 	}
-	res := a.AlignFunc(ctx, mod.Funcs[0], prof.Funcs[0], m)
+	res := a.AlignFunc(ctx, 0, mod.Funcs[0], prof.Funcs[0], m)
 	if len(mod.Funcs[0].Blocks) > 1 && !res.Truncated {
 		t.Errorf("pre-cancelled ctx did not report truncation")
 	}
@@ -105,7 +107,7 @@ func TestExtTSPFuncResultScoreMatchesRecompute(t *testing.T) {
 	a := NewExtTSP()
 	p := layout.DefaultExtTSPParams()
 	for fi, f := range mod.Funcs {
-		res := a.AlignFunc(context.Background(), f, prof.Funcs[fi], m)
+		res := a.AlignFunc(context.Background(), fi, f, prof.Funcs[fi], m)
 		want := layout.ExtTSPScore(f, prof.Funcs[fi], res.Order, p)
 		if res.Score != want {
 			t.Errorf("%s: reported score %v != recomputed %v", f.Name, res.Score, want)

@@ -6,7 +6,6 @@ import (
 
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
-	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 )
 
@@ -20,14 +19,9 @@ type PettisHansen struct{}
 // Name implements Aligner.
 func (PettisHansen) Name() string { return "greedy" }
 
-// Align implements Aligner.
-func (PettisHansen) Align(_ context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
-	orders := make([][]int, len(mod.Funcs))
-	for fi, f := range mod.Funcs {
-		w := frequencyWeights(f, prof.Funcs[fi])
-		orders[fi] = chainAndOrder(f, prof.Funcs[fi], w)
-	}
-	return finalizeOrders(mod, prof, m, orders)
+// AlignFunc implements Aligner.
+func (PettisHansen) AlignFunc(_ context.Context, _ int, f *ir.Func, fp *interp.FuncProfile, m machine.Model) FuncResult {
+	return priced(f, fp, m, chainAndOrder(f, fp, frequencyWeights(f, fp)))
 }
 
 // cfgEdge is a weighted candidate for consecutive placement.

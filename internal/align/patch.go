@@ -5,7 +5,6 @@ import (
 
 	"branchalign/internal/interp"
 	"branchalign/internal/ir"
-	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 	"branchalign/internal/tsp"
 )
@@ -22,18 +21,12 @@ type APPatch struct{}
 // Name implements Aligner.
 func (APPatch) Name() string { return "ap-patch" }
 
-// Align implements Aligner.
-func (APPatch) Align(_ context.Context, mod *ir.Module, prof *interp.Profile, m machine.Model) *layout.Layout {
-	orders := make([][]int, len(mod.Funcs))
-	for fi, f := range mod.Funcs {
-		if len(f.Blocks) == 1 {
-			orders[fi] = []int{0}
-			continue
-		}
-		mat := BuildMatrixForFunc(f, prof.Funcs[fi], m)
-		tour, _ := tsp.SolvePatching(mat)
-		tour.RotateTo(0)
-		orders[fi] = tour
+// AlignFunc implements Aligner.
+func (APPatch) AlignFunc(_ context.Context, _ int, f *ir.Func, fp *interp.FuncProfile, m machine.Model) FuncResult {
+	if len(f.Blocks) == 1 {
+		return priced(f, fp, m, []int{0})
 	}
-	return finalizeOrders(mod, prof, m, orders)
+	tour, _ := tsp.SolvePatching(BuildMatrixForFunc(f, fp, m))
+	tour.RotateTo(0)
+	return priced(f, fp, m, tour)
 }

@@ -52,9 +52,9 @@ func TestQuickAlignersValidOnSynthCFGs(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
+		orig := layout.ModulePenalty(mod, Layout(context.Background(), Original{}, mod, prof, m, nil), prof, m)
 		for _, a := range aligners {
-			l := a.Align(context.Background(), mod, prof, m)
+			l := Layout(context.Background(), a, mod, prof, m, nil)
 			if err := l.Validate(mod); err != nil {
 				t.Logf("%s: %v", a.Name(), err)
 				return false
@@ -81,13 +81,13 @@ func TestQuickAlignersValidOnSynthCFGs(t *testing.T) {
 func TestAPPatchOnBenchmarks(t *testing.T) {
 	mod, prof := compileBranchy(t)
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	patchL := APPatch{}.Align(context.Background(), mod, prof, m)
+	orig := layout.ModulePenalty(mod, Layout(context.Background(), Original{}, mod, prof, m, nil), prof, m)
+	patchL := Layout(context.Background(), APPatch{}, mod, prof, m, nil)
 	if err := patchL.Validate(mod); err != nil {
 		t.Fatal(err)
 	}
 	patch := layout.ModulePenalty(mod, patchL, prof, m)
-	tspCP := layout.ModulePenalty(mod, NewTSP(1).Align(context.Background(), mod, prof, m), prof, m)
+	tspCP := layout.ModulePenalty(mod, Layout(context.Background(), NewTSP(1), mod, prof, m, nil), prof, m)
 	if patch > orig {
 		t.Errorf("patching worse than original: %d > %d", patch, orig)
 	}

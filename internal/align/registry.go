@@ -12,19 +12,27 @@ import (
 	"sort"
 
 	"branchalign/internal/obs"
+	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 // Options carries the construction-time knobs an aligner may honor.
-// Aligners without a matching knob ignore the field.
+// Aligners without a matching knob ignore the field. How functions are
+// fanned out is not an aligner knob: that is the pool argument of Layout
+// (or the caller's own fan-out, as in internal/engine).
 type Options struct {
 	// Seed perturbs restart order for randomized aligners (tsp).
 	Seed int64
-	// Parallel lays out functions on the shared worker pool.
-	Parallel bool
-	// Parallelism additionally splits each function's solve across
-	// workers (tsp only; 0 keeps the solver's default).
+	// Parallelism splits each function's solve across up to this many
+	// workers of Pool (tsp only; 0 keeps the runs sequential).
 	Parallelism int
-	// Obs, when non-nil, receives per-function telemetry spans.
+	// Pool is the worker pool per-run parallelism draws from (tsp only;
+	// nil uses work.Shared()).
+	Pool *work.Pool
+	// Budget caps each function's solve (tsp only; see tsp.Budget).
+	Budget tsp.Budget
+	// Obs, when non-nil, receives per-function telemetry spans (tsp,
+	// exttsp).
 	Obs *obs.Span
 }
 
@@ -72,12 +80,9 @@ func init() {
 	Register("ap-patch", func(Options) Aligner { return APPatch{} })
 	Register("tsp", func(o Options) Aligner {
 		t := NewTSP(o.Seed)
-		t.Parallel = o.Parallel
-		t.Opts.Parallelism = o.Parallelism
+		t.Opts.Parallelism, t.Opts.Pool, t.Opts.Budget = o.Parallelism, o.Pool, o.Budget
 		t.Obs = o.Obs
 		return t
 	})
-	Register("exttsp", func(o Options) Aligner {
-		return &ExtTSP{Parallel: o.Parallel, Obs: o.Obs}
-	})
+	Register("exttsp", func(o Options) Aligner { return &ExtTSP{Obs: o.Obs} })
 }

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -104,7 +105,7 @@ func TestQuickBoundChainOnSparsePath(t *testing.T) {
 		}
 		fn := mod.Funcs[0]
 		fp := prof.Funcs[0]
-		res := aligner.SolveFunc(fn, fp, m, tsp.PaperSolveOptions(7), 0)
+		res := aligner.AlignFunc(context.Background(), 0, fn, fp, m)
 		sp := BuildSparseMatrixForFunc(fn, fp, m)
 		tour := tsp.CycleCost(sp, tsp.Tour(res.Order))
 		hk := FuncHeldKarpBound(fn, fp, m, tsp.HeldKarpOptions{Iterations: 200})

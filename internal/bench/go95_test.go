@@ -105,8 +105,8 @@ func TestGo95Aligns(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
-	tspL := align.NewTSP(1).Align(context.Background(), mod, prof, m)
+	orig := layout.ModulePenalty(mod, align.Layout(context.Background(), align.Original{}, mod, prof, m, nil), prof, m)
+	tspL := align.Layout(context.Background(), align.NewTSP(1), mod, prof, m, nil)
 	if err := tspL.Validate(mod); err != nil {
 		t.Fatal(err)
 	}

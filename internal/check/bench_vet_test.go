@@ -40,7 +40,7 @@ func TestVetAllBenchmarks(t *testing.T) {
 				t.Fatalf("profiling run failed: %v", err)
 			}
 			for _, a := range aligners {
-				l := a.Align(context.Background(), mod, prof, model)
+				l := align.Layout(context.Background(), a, mod, prof, model, nil)
 				r := check.All(mod, prof, l, model, check.Options{
 					Bounds:        true,
 					BoundsOptions: check.BoundsOptions{HKIterations: 120},

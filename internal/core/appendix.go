@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"branchalign/internal/align"
@@ -73,7 +74,7 @@ func (s *Suite) Appendix() (*AppendixStats, error) {
 			if len(f.Blocks) < 3 {
 				continue
 			}
-			res := tspAligner.SolveFunc(f, prof.Funcs[fi], s.Model, tsp.PaperSolveOptions(s.Seed), int64(fi))
+			res := tspAligner.AlignFunc(context.Background(), fi, f, prof.Funcs[fi], s.Model)
 			inst := InstanceStats{
 				Bench:      b.Abbr,
 				Func:       f.Name,
@@ -107,7 +108,7 @@ func (s *Suite) AppendixSynthetic(count, blocks int) (*AppendixStats, error) {
 			return nil, err
 		}
 		f := mod.Funcs[0]
-		res := tspAligner.SolveFunc(f, prof.Funcs[0], s.Model, tsp.PaperSolveOptions(s.Seed), int64(i))
+		res := tspAligner.AlignFunc(context.Background(), i, f, prof.Funcs[0], s.Model)
 		inst := InstanceStats{
 			Bench:      "synth",
 			Func:       f.Name,

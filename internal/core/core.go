@@ -19,6 +19,7 @@ import (
 	"branchalign/internal/obs"
 	"branchalign/internal/pipe"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 // Cost re-exports the cycle type.
@@ -192,7 +193,6 @@ func (s *Suite) TraceOf(b *bench.Benchmark, ds *bench.DataSet) (*pipe.Trace, err
 func (s *Suite) alignOptions() align.Options {
 	return align.Options{
 		Seed:        s.Seed,
-		Parallel:    true, // bit-identical to sequential, faster
 		Parallelism: s.Parallelism,
 		Obs:         s.Obs,
 	}
@@ -224,7 +224,7 @@ func (s *Suite) Aligners() []align.Aligner {
 func (s *Suite) AlignAll(ctx context.Context, mod *ir.Module, prof *interp.Profile) map[string]*layout.Layout {
 	out := map[string]*layout.Layout{}
 	for _, a := range s.Aligners() {
-		out[a.Name()] = a.Align(ctx, mod, prof, s.Model)
+		out[a.Name()] = align.Layout(ctx, a, mod, prof, s.Model, work.Shared())
 	}
 	return out
 }
@@ -276,7 +276,7 @@ func (s *Suite) LayoutFor(ctx context.Context, b *bench.Benchmark, ds *bench.Dat
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	l := a.Align(ctx, mod, prof, s.Model)
+	l := align.Layout(ctx, a, mod, prof, s.Model, work.Shared())
 	if s.layouts[key] == nil {
 		s.layouts[key] = map[string]*layout.Layout{}
 	}

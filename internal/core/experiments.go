@@ -86,7 +86,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		row.ProfileMS = msSince(t0)
 
 		t0 = time.Now()
-		align.PettisHansen{}.Align(context.Background(), mod, prof, s.Model)
+		align.Layout(context.Background(), align.PettisHansen{}, mod, prof, s.Model, nil)
 		row.GreedyMS = msSince(t0)
 
 		t0 = time.Now()

@@ -12,6 +12,7 @@ import (
 	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 	"branchalign/internal/tsp"
+	"branchalign/internal/work"
 )
 
 // TestStressLargeModule runs the full alignment stack on a module far
@@ -47,11 +48,10 @@ func TestStressLargeModule(t *testing.T) {
 	t.Logf("stress module: %d functions, %d blocks", len(mod.Funcs), totalBlocks)
 
 	m := machine.Alpha21164()
-	orig := layout.ModulePenalty(mod, align.Original{}.Align(context.Background(), mod, prof, m), prof, m)
+	orig := layout.ModulePenalty(mod, align.Layout(context.Background(), align.Original{}, mod, prof, m, nil), prof, m)
 
 	a := align.NewTSP(1)
-	a.Parallel = true
-	l := a.Align(context.Background(), mod, prof, m)
+	l := align.Layout(context.Background(), a, mod, prof, m, work.Shared())
 	if err := l.Validate(mod); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestStressLargeModule(t *testing.T) {
 		t.Errorf("TSP worsened the stress module: %d -> %d", orig, tspCP)
 	}
 
-	greedyCP := layout.ModulePenalty(mod, align.PettisHansen{}.Align(context.Background(), mod, prof, m), prof, m)
+	greedyCP := layout.ModulePenalty(mod, align.Layout(context.Background(), align.PettisHansen{}, mod, prof, m, nil), prof, m)
 	if tspCP > greedyCP {
 		t.Errorf("TSP (%d) behind greedy (%d) on stress module", tspCP, greedyCP)
 	}

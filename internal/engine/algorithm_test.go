@@ -8,12 +8,14 @@ import (
 	"testing"
 
 	"branchalign/internal/align"
+	"branchalign/internal/layout"
 	"branchalign/internal/machine"
 )
 
 // TestEngineAlgorithmSelection: every registered aligner is reachable
-// through Request.Algorithm, and the served layout is bit-identical to
-// driving the aligner directly.
+// through Request.Algorithm, the served layout is bit-identical to
+// driving the aligner directly, and each function's reported cost is the
+// control penalty of the function layout actually served.
 func TestEngineAlgorithmSelection(t *testing.T) {
 	mod, prof := branchy(t)
 	model := machine.Alpha21164()
@@ -23,7 +25,7 @@ func TestEngineAlgorithmSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := a.Align(context.Background(), mod, prof, model)
+		direct := align.Layout(context.Background(), a, mod, prof, model, nil)
 		res, err := e.Align(context.Background(), Request{
 			Module: mod, Profile: prof, Model: model, Seed: 5, Algorithm: name,
 		})
@@ -31,6 +33,15 @@ func TestEngineAlgorithmSelection(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameLayout(t, direct, res.Layout)
+		for fi, f := range mod.Funcs {
+			fs := res.Funcs[fi]
+			if fs.Cities != len(f.Blocks) {
+				t.Errorf("%s/%s: Cities = %d, want %d blocks", name, f.Name, fs.Cities, len(f.Blocks))
+			}
+			if want := layout.Penalty(f, res.Layout.Funcs[fi], prof.Funcs[fi], model); fs.Cost != int64(want) {
+				t.Errorf("%s/%s: Cost = %d, served layout's penalty is %d", name, f.Name, fs.Cost, want)
+			}
+		}
 	}
 }
 

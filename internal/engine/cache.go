@@ -8,49 +8,17 @@ import (
 	"io"
 )
 
-// requestKey derives the cache/deduplication key for a request: a
-// digest over everything that determines the computed layout — the
-// module, the profile, the machine model, the solver seed, and the
-// budget's work caps. The budget's wall-clock deadline, the telemetry
-// sink and the solver parallelism are deliberately excluded: they
-// change when (and how observably) the answer arrives, not what the
-// answer is. Parallelism in particular must not fragment the LRU — the
-// solver is bit-identical at every setting, so a sequentially solved
-// entry is served to a parallel request and vice versa
-// (TestCacheKeyIgnoresParallelism pins this).
-func requestKey(req Request) (string, error) {
+// instanceKey digests the request components that determine the
+// per-function DTSP instances: the module, the profile (mode and bytes)
+// and the machine model. It is the warm-start cache key as is — the
+// Held-Karp dual state is a property of the instance, portable across
+// every request shape that bounds it (that portability is the whole
+// point of the cache: a re-request with a different seed, algorithm or
+// budget resumes the ascent instead of re-climbing from zero) — and the
+// prefix of requestKey, so a request serializes its module and profile
+// once.
+func instanceKey(req Request) (string, error) {
 	h := sha256.New()
-	if err := hashInstance(h, req); err != nil {
-		return "", err
-	}
-	// The algorithm name is a key component too: different aligners are
-	// different computations over the same inputs.
-	fmt.Fprintf(h, "|alg=%s|seed=%d|kicks=%d|hkiters=%d|bound=%v|iters=%d",
-		req.Algorithm, req.Seed, req.Budget.MaxKicks, req.Budget.MaxHKIterations,
-		req.Bound, req.HKIterations)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// boundKey derives the warm-start cache key for a request: a digest over
-// only the inputs that determine the per-function DTSP instances — the
-// module, the profile, and the machine model. Algorithm, seed, iteration
-// counts and budgets are deliberately excluded: the Held-Karp dual state
-// is a property of the instance, portable across every request shape
-// that bounds it (that portability is the whole point of the cache — a
-// re-request with a different seed or budget resumes the ascent instead
-// of re-climbing from zero).
-func boundKey(req Request) (string, error) {
-	h := sha256.New()
-	if err := hashInstance(h, req); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// hashInstance writes the request components that determine the DTSP
-// instances — module, profile mode/bytes, machine model — the common
-// prefix of requestKey and boundKey.
-func hashInstance(h io.Writer, req Request) error {
 	io.WriteString(h, req.Module.String())
 	// The profile mode is a structural key component: a static-profile
 	// request hashes the mode tag instead of profile bytes (the estimate
@@ -63,13 +31,30 @@ func hashInstance(h io.Writer, req Request) error {
 	} else {
 		io.WriteString(h, "|pmode=measured|")
 		if err := req.Profile.WriteJSON(h); err != nil {
-			return fmt.Errorf("engine: hashing profile: %w", err)
+			return "", fmt.Errorf("engine: hashing profile: %w", err)
 		}
 	}
 	// machine.Model is all scalars, so its fmt image is a faithful key
 	// component.
 	fmt.Fprintf(h, "|model=%+v", req.Model)
-	return nil
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// requestKey derives the cache/deduplication key for a request from its
+// instance key plus everything else that determines the computed
+// layout: the algorithm (different aligners are different computations
+// over the same inputs), the solver seed, the budget's work caps and the
+// bound settings. The budget's wall-clock deadline, the telemetry sink
+// and the solver parallelism are deliberately excluded: they change
+// when (and how observably) the answer arrives, not what the answer is.
+// Parallelism in particular must not fragment the LRU — the solver is
+// bit-identical at every setting, so a sequentially solved entry is
+// served to a parallel request and vice versa
+// (TestCacheKeyIgnoresParallelism pins this).
+func requestKey(inst string, req Request) string {
+	return fmt.Sprintf("%s|alg=%s|seed=%d|kicks=%d|hkiters=%d|bound=%v|iters=%d",
+		inst, req.Algorithm, req.Seed, req.Budget.MaxKicks, req.Budget.MaxHKIterations,
+		req.Bound, req.HKIterations)
 }
 
 // lru is a minimal least-recently-used cache. The engine keeps two: one

@@ -205,7 +205,7 @@ type Engine struct {
 	mu       sync.Mutex
 	cache    *lru[*Result]
 	inflight map[string]*call
-	// warm caches Held-Karp warm-start states per instance (boundKey):
+	// warm caches Held-Karp warm-start states per instance (instanceKey):
 	// one dual vector per function, from the best iterate of the last
 	// bound computation on that (module, profile, model). A later
 	// request on the same instance — different seed, algorithm or
@@ -291,16 +291,26 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	if req.Algorithm == "" {
 		req.Algorithm = "tsp"
 	}
-	if _, err := align.New(req.Algorithm, align.Options{}); err != nil {
+	parallelism := req.Parallelism
+	if parallelism == 0 {
+		parallelism = e.parallelism
+	}
+	// Nested run fan-out draws from the same pool as the per-function
+	// fan-out in solve, so Workers bounds the engine's total concurrency.
+	a, err := align.New(req.Algorithm, align.Options{
+		Seed: req.Seed, Parallelism: parallelism, Pool: e.pool, Budget: req.Budget, Obs: req.Obs,
+	})
+	if err != nil {
 		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownAlgorithm, req.Algorithm, align.Names())
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key, err := requestKey(req)
+	inst, err := instanceKey(req)
 	if err != nil {
 		return nil, err
 	}
+	key := requestKey(inst, req)
 	start := time.Now()
 	e.met.requests.Inc()
 
@@ -329,7 +339,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 			// the expired context, which truncates at the first budget
 			// check and yields a valid best-effort layout.
 			e.met.cacheMisses.Inc()
-			res, err := e.solve(ctx, req)
+			res, err := e.solve(ctx, req, a, inst)
 			e.finishSolve(res, err)
 			e.met.observe(start, req.StaticProfile, "miss", req.Algorithm)
 			return res, err
@@ -351,7 +361,7 @@ func (e *Engine) Align(ctx context.Context, req Request) (*Result, error) {
 	e.met.cacheMisses.Inc()
 	e.met.inFlight.Add(1)
 
-	res, err := e.solve(ctx, req)
+	res, err := e.solve(ctx, req, a, inst)
 
 	e.met.inFlight.Add(-1)
 	e.finishSolve(res, err)
@@ -398,9 +408,11 @@ func (e *Engine) finishSolve(res *Result, err error) {
 	}
 }
 
-// solve performs the actual per-function fan-out under the shared
-// worker pool.
-func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
+// solve runs a over every function of the request on the shared worker
+// pool, bounding each function after aligning it when the request asks
+// for bounds. inst is the request's instance key, under which the
+// Held-Karp warm-start states live.
+func (e *Engine) solve(ctx context.Context, req Request, a align.Aligner, inst string) (*Result, error) {
 	mod, prof := req.Module, req.Profile
 	if req.StaticProfile {
 		// Profile-less request: estimate one from CFG structure. The
@@ -408,143 +420,68 @@ func (e *Engine) solve(ctx context.Context, req Request) (*Result, error) {
 		// profile-mode tag plus the module digest fully determine it.
 		prof, _ = staticprof.Estimate(mod)
 	}
-	opts := tsp.PaperSolveOptions(req.Seed)
-	opts.Context = ctx
-	opts.Budget = req.Budget
-	opts.Parallelism = req.Parallelism
-	if opts.Parallelism == 0 {
-		opts.Parallelism = e.parallelism
-	}
-	// Nested run fan-out draws from the same pool as the per-function
-	// fan-out below, so Workers bounds the engine's total concurrency.
-	opts.Pool = e.pool
-
 	hkIters := req.HKIterations
 	if hkIters <= 0 {
 		hkIters = 1000
 	}
-	hkOpts := tsp.HeldKarpOptions{
-		Iterations: hkIters,
-		Context:    ctx,
-		Budget:     req.Budget,
-	}
-
-	a, err := align.New(req.Algorithm, align.Options{Seed: req.Seed, Obs: req.Obs})
-	if err != nil {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownAlgorithm, req.Algorithm, align.Names())
-	}
-	n := len(mod.Funcs)
-	orders := make([][]int, n)
-	stats := make([]FuncStat, n)
-	bounds := make([]align.FuncBoundResult, n)
+	hkOpts := tsp.HeldKarpOptions{Iterations: hkIters, Context: ctx, Budget: req.Budget, Obs: req.Obs}
 
 	// Warm-start states for the bound computations: per-function dual
-	// vectors cached by instance identity (boundKey — module, profile,
-	// model; not seed/algorithm/budget). Each request works on private
-	// copies and publishes them back after the fan-out, so concurrent
-	// requests on the same instance never share mutable state.
+	// vectors cached by instance identity (module, profile, model; not
+	// seed/algorithm/budget). Each request works on private copies and
+	// publishes them back after the fan-out, so concurrent requests on
+	// the same instance never share mutable state.
+	n := len(mod.Funcs)
 	var warm []*tsp.HKWarmState
-	var warmKey string
 	if req.Bound {
-		if bk, err := boundKey(req); err == nil {
-			warmKey = bk
-			warm = e.warmStates(bk, n)
-		}
+		warm = e.warmStates(inst, n)
 	}
-
-	// The Held-Karp bound is on the control penalty of ANY layout of the
-	// function, so it is meaningful (and identical up to ascent depth)
-	// under every algorithm.
-	funcBound := func(fi int) {
-		if req.Bound {
-			ho := hkOpts
-			ho.Obs = req.Obs
-			if warm != nil {
-				ho.Warm = warm[fi]
-			}
-			bounds[fi] = align.FuncHeldKarpBoundResult(mod.Funcs[fi], prof.Funcs[fi], req.Model, ho)
-		}
-	}
+	res := &Result{Funcs: make([]FuncStat, n), ProfileEstimated: req.StaticProfile}
+	l := &layout.Layout{Funcs: make([]*layout.FuncLayout, n)}
+	bounds := make([]align.FuncBoundResult, n)
 
 	// Blocking fan-out on the shared pool: at most Workers per-function
-	// solves execute concurrently across all requests, exactly like the
-	// former per-engine semaphore. The TSP and ExtTSP aligners expose
-	// per-function entry points, so the engine drives the fan-out itself
-	// and gets per-function diagnostics; other registered aligners run
-	// through their module-level Align (they are all cheap linear-time
-	// heuristics).
-	switch t := a.(type) {
-	case *align.TSP:
-		t.Opts = opts
-		e.pool.Each(n, func(fi int) {
-			f := mod.Funcs[fi]
-			fr := t.SolveFunc(f, prof.Funcs[fi], req.Model, opts, int64(fi))
-			orders[fi] = fr.Order
-			stats[fi] = FuncStat{
-				Name:      f.Name,
-				Cities:    fr.Cities,
-				Order:     fr.Order,
-				Cost:      int64(fr.Cost),
-				Exact:     fr.Exact,
-				Truncated: fr.Truncated,
-				Kicks:     fr.Kicks,
-			}
-			funcBound(fi)
-		})
-	case *align.ExtTSP:
-		e.pool.Each(n, func(fi int) {
-			f := mod.Funcs[fi]
-			fr := t.AlignFunc(ctx, f, prof.Funcs[fi], req.Model)
-			orders[fi] = fr.Order
-			stats[fi] = FuncStat{
-				Name:      f.Name,
-				Cities:    fr.Cities,
-				Order:     fr.Order,
-				Cost:      int64(fr.Cost),
-				Truncated: fr.Truncated,
-			}
-			funcBound(fi)
-		})
-	default:
-		al := a.Align(ctx, mod, prof, req.Model)
-		for fi, f := range mod.Funcs {
-			orders[fi] = al.Funcs[fi].Order
-			stats[fi] = FuncStat{
-				Name:   f.Name,
-				Cities: len(f.Blocks),
-				Order:  orders[fi],
-				Cost:   int64(layout.Penalty(f, al.Funcs[fi], prof.Funcs[fi], req.Model)),
-			}
+	// tasks execute concurrently across all requests. The Held-Karp bound
+	// is on the control penalty of ANY layout of the function, so it is
+	// meaningful (and identical up to ascent depth) under every algorithm.
+	e.pool.Each(n, func(fi int) {
+		f, fp := mod.Funcs[fi], prof.Funcs[fi]
+		fr := a.AlignFunc(ctx, fi, f, fp, req.Model)
+		l.Funcs[fi] = layout.Finalize(f, fp, fr.Order, req.Model)
+		res.Funcs[fi] = FuncStat{
+			Name:      f.Name,
+			Cities:    fr.Cities,
+			Order:     fr.Order,
+			Cost:      int64(fr.Cost),
+			Exact:     fr.Exact,
+			Truncated: fr.Truncated,
+			Kicks:     fr.Kicks,
 		}
 		if req.Bound {
-			e.pool.Each(n, funcBound)
+			ho := hkOpts
+			ho.Warm = warm[fi]
+			bounds[fi] = align.FuncHeldKarpBoundResult(f, fp, req.Model, ho)
 		}
-	}
+	})
 
 	if warm != nil {
 		// Publish the updated dual states for the next request on this
 		// instance. Concurrent requests race benignly: whichever slice
 		// lands last is a complete, valid set of states.
 		e.mu.Lock()
-		e.warm.put(warmKey, warm)
+		e.warm.put(inst, warm)
 		e.mu.Unlock()
 	}
 
-	res := &Result{Funcs: stats, ProfileEstimated: req.StaticProfile}
-	l := &layout.Layout{}
-	for fi, f := range mod.Funcs {
-		l.Funcs = append(l.Funcs, layout.Finalize(f, prof.Funcs[fi], orders[fi], req.Model))
-		if stats[fi].Truncated {
-			res.Truncated = true
-		}
+	for fi := range res.Funcs {
+		fs := &res.Funcs[fi]
+		res.Truncated = res.Truncated || fs.Truncated
 		if req.Bound {
 			b := bounds[fi]
 			res.Bound += b.Bound
-			res.Funcs[fi].Bound = int64(b.Bound)
-			res.Funcs[fi].GapPct = gapPct(res.Funcs[fi].Cost, int64(b.Bound))
-			if b.Truncated {
-				res.Truncated = true
-			}
+			fs.Bound = int64(b.Bound)
+			fs.GapPct = gapPct(fs.Cost, fs.Bound)
+			res.Truncated = res.Truncated || b.Truncated
 		}
 	}
 	if err := l.Validate(mod); err != nil {

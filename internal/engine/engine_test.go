@@ -49,7 +49,7 @@ func TestEngineMatchesAligner(t *testing.T) {
 	mod, prof := branchy(t)
 	model := machine.Alpha21164()
 
-	direct := align.NewTSP(3).Align(context.Background(), mod, prof, model)
+	direct := align.Layout(context.Background(), align.NewTSP(3), mod, prof, model, nil)
 
 	e := New(Options{})
 	res, err := e.Align(context.Background(), Request{Module: mod, Profile: prof, Model: model, Seed: 3})

@@ -6,6 +6,8 @@
 // satisfies (BTFNT-style predictors would not).
 package machine
 
+import "fmt"
+
 // Cost is a penalty in cycles. It aliases int64 and is interchangeable
 // with tsp.Cost.
 type Cost = int64
@@ -114,6 +116,20 @@ func DeepPipe() Model {
 // Models returns the built-in models, the paper's first.
 func Models() []Model {
 	return []Model{Alpha21164(), ShallowPipe(), DeepPipe()}
+}
+
+// ByName returns the built-in model with the given name; "" selects the
+// paper's alpha21164.
+func ByName(name string) (Model, error) {
+	if name == "" {
+		name = "alpha21164"
+	}
+	for _, m := range Models() {
+		if m.Name == name {
+			return m, nil
+		}
+	}
+	return Model{}, fmt.Errorf("unknown model %q", name)
 }
 
 // CacheAware returns a copy of m with extra cycles folded into every

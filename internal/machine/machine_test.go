@@ -95,3 +95,18 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("register mispredict row penalty = %d, want 3", rows[7].Penalty)
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, name := range []string{"alpha21164", "shallow", "deep"} {
+		m, err := ByName(name)
+		if err != nil || m.Name != name {
+			t.Errorf("ByName(%q) = %v, %v", name, m.Name, err)
+		}
+	}
+	if m, err := ByName(""); err != nil || m != Alpha21164() {
+		t.Errorf(`ByName("") = %v, %v; want the alpha21164 default`, m.Name, err)
+	}
+	if _, err := ByName("vax"); err == nil {
+		t.Error("expected error for unknown model")
+	}
+}

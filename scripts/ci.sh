@@ -76,4 +76,13 @@ echo "== vet-static (balign vet -all + balignlint)"
 go run ./cmd/balign vet -all
 go run ./cmd/balignlint
 
+echo "== golden-diff (experiment outputs byte-identical to results/)"
+# The deterministic experiment tables must reproduce the committed
+# goldens exactly. experiments_all.txt is left out: its Table 2 rows are
+# wall-clock timings.
+for g in static exttsp ext; do
+	echo "experiments -$g vs results/experiments_$g.txt"
+	go run ./cmd/experiments -$g | cmp - results/experiments_$g.txt
+done
+
 echo "ci: all gates green"
