@@ -60,14 +60,15 @@ golden-diff:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Liveness gate over the top-level benchmark suite: run every benchmark
-# exactly once so CI catches one that panics, hangs or stops compiling.
+# Liveness gate over the top-level benchmark suite and balignd's
+# end-to-end request benchmark: run every benchmark exactly once so CI
+# catches one that panics, hangs or stops compiling.
 # The second pass names the Held-Karp kernel explicitly with -benchmem so
 # its allocation profile, at 5000 synthetic blocks and on the bundled
 # suite's largest function, shows up in CI logs (scripts/ci.sh
 # additionally enforces an allocs/op ceiling on both rows).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 20m .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 20m . ./cmd/balignd/
 	$(GO) test -run '^$$' -bench 'BenchmarkHeldKarpBound/(synth5000|largest)/sparse' -benchtime 1x -benchmem -timeout 10m .
 
 # Record a benchmark snapshot to results/BENCH_<LABEL>.json; restrict

@@ -90,6 +90,20 @@ func TestLoadProgramFromSource(t *testing.T) {
 	if len(inputs2) != 1 || inputs2[0].Scalar != 42 {
 		t.Errorf("scalar binding wrong: %+v", inputs2)
 	}
+	// A main() entry would drop -data and -n.
+	path4 := filepath.Join(dir, "prog4.mc")
+	if err := os.WriteFile(path4, []byte(`func main() { return 1; }`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := compileFlags(path4, "", "", "", -1); err != nil {
+		t.Errorf("main() without inputs: %v", err)
+	}
+	if _, _, err := compileFlags(path4, "", "", "1,2", -1); err == nil {
+		t.Error("main() with -data accepted")
+	}
+	if _, _, err := compileFlags(path4, "", "", "", 3); err == nil {
+		t.Error("main() with -n accepted")
+	}
 	// Unsupported signature.
 	path3 := filepath.Join(dir, "prog3.mc")
 	if err := os.WriteFile(path3, []byte(`func main(a, b, c) { return a; }`), 0o644); err != nil {

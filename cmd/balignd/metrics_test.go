@@ -98,6 +98,9 @@ func TestMetricsFamilies(t *testing.T) {
 		"engine_cache_misses_total",
 		"engine_cache_evictions_total",
 		"engine_cache_entries",
+		"engine_profile_cache_hits_total",
+		"engine_profile_cache_misses_total",
+		"engine_profile_cache_entries",
 		"engine_coalesced_total",
 		"engine_solves_total",
 		"engine_truncated_total",
@@ -195,6 +198,8 @@ func TestStatsMatchesMetrics(t *testing.T) {
 		{"engine.truncated", st.Engine.Truncated, sumSamples(samples, "engine_truncated_total")},
 		{"engine.errors", st.Engine.Errors, sumSamples(samples, "engine_errors_total")},
 		{"engine.in_flight", st.Engine.InFlight, sumSamples(samples, "engine_in_flight")},
+		{"engine.profile_cache_hits", st.Engine.ProfileCacheHits, sumSamples(samples, "engine_profile_cache_hits_total")},
+		{"engine.profile_cache_misses", st.Engine.ProfileCacheMisses, sumSamples(samples, "engine_profile_cache_misses_total")},
 	}
 	for _, c := range checks {
 		if float64(c.got) != c.want {
@@ -206,6 +211,12 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if st.Engine.CacheHits != 1 {
 		t.Errorf("engine cache hits %d, want 1", st.Engine.CacheHits)
+	}
+	// The repeat skipped the profiling run; the unknown bench failed
+	// before the profile cache was consulted.
+	if st.Engine.ProfileCacheHits != 1 || st.Engine.ProfileCacheMisses != 1 {
+		t.Errorf("profile cache hits/misses %d/%d, want 1/1",
+			st.Engine.ProfileCacheHits, st.Engine.ProfileCacheMisses)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"branchalign/internal/engine"
-	"branchalign/internal/interp"
 	"branchalign/internal/machine"
 	"branchalign/internal/obs"
 	"branchalign/internal/stats"
@@ -333,8 +332,8 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		s.testHookAligning()
 	}
 
-	var req alignRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&req); err != nil {
+	req, err := decodeAlign(http.MaxBytesReader(w, r.Body, 4<<20))
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -364,6 +363,23 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// decodeAlign decodes exactly one alignRequest object from body. Unknown
+// fields are rejected, so a misspelt field (say "profle_mode") fails
+// instead of silently taking its default, and so is anything but
+// whitespace after the object.
+func decodeAlign(body io.Reader) (alignRequest, error) {
+	var req alignRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
+}
+
 func (s *server) fail(w http.ResponseWriter, code int, err error) {
 	s.alignErrors.Inc()
 	writeJSON(w, code, errorResponse{Error: err.Error(), Kind: errKind(code, err)})
@@ -376,23 +392,16 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	p := engine.Program{
-		Bench: req.Bench, DataSet: req.DataSet, Source: req.Source,
-		Data: req.Data, N: req.N, Recorded: req.Profile,
-	}
-	mod, inputs, err := p.Compile()
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
 	model, err := machine.ByName(req.Model)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	var prof *interp.Profile
-	if !static {
-		if prof, _, err = p.Profile(mod, inputs, nil); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
+	mod, prof, err := s.eng.Load(engine.Program{
+		Bench: req.Bench, DataSet: req.DataSet, Source: req.Source,
+		Data: req.Data, N: req.N, Recorded: req.Profile,
+	}, static)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
 	algorithm := req.Algorithm
@@ -468,20 +477,14 @@ func (s *server) align(ctx context.Context, req alignRequest) (*alignResponse, i
 	return resp, 0, nil
 }
 
-// pickProfileMode validates the request's profile_mode and its
-// interaction with the profile-bearing fields. It returns whether the
-// engine should estimate the profile statically.
+// pickProfileMode validates the request's profile_mode. It returns
+// whether the engine should estimate the profile statically; Load
+// rejects a static request that also carries profiling inputs.
 func pickProfileMode(req alignRequest) (bool, error) {
 	switch req.ProfileMode {
 	case "", "measured":
 		return false, nil
 	case "static":
-		// A static request must not also carry profiling inputs: silently
-		// ignoring them would hide a client bug, so conflict loudly (the
-		// engine sentinel keeps the wire kind "profile_conflict").
-		if len(req.Profile) > 0 || len(req.Data) > 0 || req.N != nil {
-			return false, fmt.Errorf("profile_mode \"static\" excludes profile/data/n: %w", engine.ErrProfileConflict)
-		}
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown profile_mode %q (want \"measured\" or \"static\")", req.ProfileMode)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -18,19 +17,22 @@ func postAlignError(t *testing.T, ts *httptest.Server, req alignRequest) (errorR
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/align", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
+	return postRawError(t, ts, body)
+}
+
+// postRawError posts body, which need not be a well-formed request, to
+// /v1/align and decodes the structured error body.
+func postRawError(t *testing.T, ts *httptest.Server, body []byte) (errorResponse, int) {
+	t.Helper()
+	code, raw := postBody(t, ts, body)
+	if code == http.StatusOK {
 		t.Fatal("request unexpectedly succeeded")
 	}
 	var out errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("non-200 body is not structured JSON: %v", err)
 	}
-	return out, resp.StatusCode
+	return out, code
 }
 
 // TestAlignStaticProfile serves a completely profile-less request: no
@@ -106,9 +108,12 @@ func TestAlignErrorKinds(t *testing.T) {
 	ts := httptest.NewServer(newServer(serverConfig{}))
 	defer ts.Close()
 
+	mainNoArgs := "func main() { return 1; }"
 	cases := []struct {
-		name     string
-		req      alignRequest
+		name string
+		req  alignRequest
+		// raw, when set, is sent as the body instead of req.
+		raw      string
 		wantCode int
 		wantKind string
 	}{
@@ -168,10 +173,48 @@ func TestAlignErrorKinds(t *testing.T) {
 			wantCode: http.StatusBadRequest,
 			wantKind: "bad_request",
 		},
+		{
+			name:     "misspelt field",
+			raw:      `{"bench":"compress","profle_mode":"static"}`,
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
+		{
+			name:     "trailing object",
+			raw:      `{"bench":"compress"}{"bench":"xli"}`,
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
+		{
+			name:     "trailing garbage",
+			raw:      `{"bench":"compress"} x`,
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
+		{
+			name:     "main() with data",
+			req:      alignRequest{Source: mainNoArgs, Data: testData(8, 1)},
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
+		{
+			name:     "main() with n",
+			req:      alignRequest{Source: mainNoArgs, N: new(int64)},
+			wantCode: http.StatusBadRequest,
+			wantKind: "bad_request",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body, code := postAlignError(t, ts, tc.req)
+			var (
+				body errorResponse
+				code int
+			)
+			if tc.raw != "" {
+				body, code = postRawError(t, ts, []byte(tc.raw))
+			} else {
+				body, code = postAlignError(t, ts, tc.req)
+			}
 			if code != tc.wantCode {
 				t.Errorf("status = %d, want %d", code, tc.wantCode)
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -57,8 +58,33 @@ func requestKey(inst string, req Request) string {
 		req.Bound, req.HKIterations)
 }
 
-// lru is a minimal least-recently-used cache. The engine keeps two: one
-// over *Result (the result cache) and one over warm-start dual states.
+// profileKey digests the inputs a measured run of p consumes: the
+// profile-cache key (see Engine.Load). A benchmark is keyed by its
+// canonical name and resolved data set, so an abbreviation and the full
+// name share an entry, as do an empty data set and the first one. A
+// source program is keyed by its text, its data and its effective n
+// (len(data) when n is absent). Variable-length components are length
+// prefixed, so distinct inputs never serialize alike.
+func profileKey(p Program) (string, error) {
+	h := sha256.New()
+	if p.Bench != "" {
+		b, ds, err := p.bench()
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "bench=%d:%s|dataset=%d:%s", len(b.Name), b.Name, len(ds.Name), ds.Name)
+	} else {
+		fmt.Fprintf(h, "source=%d:%s|data=%d:", len(p.Source), p.Source, len(p.Data))
+		// Writes to a hash never fail.
+		_ = binary.Write(h, binary.LittleEndian, p.Data)
+		fmt.Fprintf(h, "|n=%d", p.n())
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// lru is a minimal least-recently-used cache. The engine keeps three:
+// one over *Result (the result cache), one over warm-start dual states
+// and one over loaded programs (the profile cache).
 // Callers hold the engine mutex; lru itself is not safe for concurrent
 // use.
 type lru[V any] struct {

@@ -68,7 +68,8 @@ type Options struct {
 	// pool feeds per-run solver parallelism (Parallelism), so the two
 	// layers together never exceed this bound.
 	Workers int
-	// CacheEntries bounds the result cache (least-recently-used
+	// CacheEntries bounds the result cache, the Held-Karp warm-start
+	// cache and Load's profile cache, each separately (least-recently-used
 	// eviction). 0 means 64; negative disables caching.
 	CacheEntries int
 	// Parallelism is the default per-run solver parallelism applied to
@@ -87,7 +88,9 @@ type Options struct {
 }
 
 // Request describes one alignment job. Module and Profile are borrowed
-// for the duration of the call and must not be mutated concurrently.
+// and must not be mutated: the engine reads them during the call, and a
+// Module and Profile returned by Load are shared, through the profile
+// cache, with every later request on the same program inputs.
 type Request struct {
 	Module  *ir.Module
 	Profile *interp.Profile
@@ -194,6 +197,10 @@ type Stats struct {
 	// executing on the pool right now.
 	Workers      int   `json:"workers"`
 	InFlightRuns int64 `json:"in_flight_runs"`
+	// ProfileCacheHits and ProfileCacheMisses count the measured
+	// programs Load found, and did not find, in the profile cache.
+	ProfileCacheHits   int64 `json:"profile_cache_hits"`
+	ProfileCacheMisses int64 `json:"profile_cache_misses"`
 }
 
 // Engine is safe for concurrent use by multiple goroutines.
@@ -215,6 +222,10 @@ type Engine struct {
 	// are immutable once stored (requests copy on read and replace on
 	// write), so readers never race writers.
 	warm *lru[[]*tsp.HKWarmState]
+	// profiles is the profile cache behind Load: compiled modules and
+	// their measured profiles, keyed by program inputs (profileKey).
+	// Entries are immutable once stored.
+	profiles *lru[loaded]
 }
 
 // call is one in-flight computation other identical requests can wait
@@ -243,15 +254,22 @@ func New(o Options) *Engine {
 		parallelism: o.Parallelism,
 		cache:       newLRU[*Result](entries),
 		warm:        newLRU[[]*tsp.HKWarmState](entries),
+		profiles:    newLRU[loaded](entries),
 		inflight:    map[string]*call{},
 	}
 	e.cache.onEvict = func() { e.met.evictions.Inc() }
-	e.met = newMetrics(reg, e.pool, func() float64 {
+	e.met = newMetrics(reg, e.pool, e.entries(e.cache), e.entries(e.profiles))
+	return e
+}
+
+// entries returns a gauge reading of c's occupancy, taken under the
+// engine mutex.
+func (e *Engine) entries(c interface{ len() int }) func() float64 {
+	return func() float64 {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		return float64(e.cache.len())
-	})
-	return e
+		return float64(c.len())
+	}
 }
 
 // Stats returns a snapshot of the engine counters. The values are read
@@ -268,6 +286,9 @@ func (e *Engine) Stats() Stats {
 		InFlight:     int64(e.met.inFlight.Value()),
 		Workers:      e.pool.Cap(),
 		InFlightRuns: e.pool.Active(),
+
+		ProfileCacheHits:   e.met.profileHits.Value(),
+		ProfileCacheMisses: e.met.profileMisses.Value(),
 	}
 }
 

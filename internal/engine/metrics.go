@@ -27,6 +27,9 @@ type metrics struct {
 	errors      *obs.Counter
 	inFlight    *obs.Gauge
 	solveDur    *obs.HistogramVec
+
+	profileHits   *obs.Counter
+	profileMisses *obs.Counter
 }
 
 // solve-duration buckets: 2^-14 s (~61µs, a warm cache hit) up to
@@ -37,10 +40,11 @@ const (
 )
 
 // newMetrics registers the engine's metric families in reg and wires
-// the live gauges: cache occupancy (via entries, called under the
-// engine mutex at collection time) and the worker pool's capacity,
-// active-task and queue-depth gauges plus its queue-wait histogram.
-func newMetrics(reg *obs.Registry, pool *work.Pool, entries func() float64) metrics {
+// the live gauges: result- and profile-cache occupancy (via entries and
+// profileEntries, called at collection time) and the worker pool's
+// capacity, active-task and queue-depth gauges plus its queue-wait
+// histogram.
+func newMetrics(reg *obs.Registry, pool *work.Pool, entries, profileEntries func() float64) metrics {
 	m := metrics{
 		requests:    reg.Counter("engine_requests_total", "Alignment requests accepted by the engine (after validation)."),
 		cacheHits:   reg.Counter("engine_cache_hits_total", "Requests served from the completed-result cache."),
@@ -54,8 +58,13 @@ func newMetrics(reg *obs.Registry, pool *work.Pool, entries func() float64) metr
 		solveDur: reg.HistogramVec("engine_solve_duration_seconds",
 			"Engine request latency by profile mode, cache outcome and algorithm.",
 			solveDurMinExp, solveDurMaxExp, "profile_mode", "cache", "algorithm"),
+		profileHits: reg.Counter("engine_profile_cache_hits_total",
+			"Measured programs served from the profile cache, skipping compile and the profiling run."),
+		profileMisses: reg.Counter("engine_profile_cache_misses_total",
+			"Measured programs not in the profile cache, so compiled and run by the interpreter."),
 	}
 	reg.GaugeFunc("engine_cache_entries", "Completed results currently cached.", entries)
+	reg.GaugeFunc("engine_profile_cache_entries", "Compiled programs and measured profiles currently cached.", profileEntries)
 	reg.GaugeFunc("work_pool_capacity", "Maximum concurrently executing pool tasks.",
 		func() float64 { return float64(pool.Cap()) })
 	reg.GaugeFunc("work_pool_active_tasks", "Pool tasks (per-function solves and nested solver runs) executing right now.",

@@ -40,8 +40,9 @@ go test -race -timeout 20m ./...
 echo "== bench-smoke (every benchmark compiles and runs once)"
 # -benchtime=1x: not a measurement, a liveness gate. A benchmark that
 # panics, hangs, or rots out of the build fails CI here instead of at
-# the next snapshot.
-go test -run '^$' -bench . -benchtime 1x -timeout 20m .
+# the next snapshot. ./cmd/balignd/ holds the end-to-end request
+# benchmark (BenchmarkServeAlign).
+go test -run '^$' -bench . -benchtime 1x -timeout 20m . ./cmd/balignd/
 
 echo "== heldkarp-alloc gate (kernel must stay allocation-free per ascent)"
 # The pooled 1-tree kernel runs the synth5000 ascent in ~10 allocs/op;

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Metrics-plane smoke gate: boot balignd, serve one align request, and
-# verify the /metrics exposition is scrapeable and live — the core
+# Metrics-plane smoke gate: boot balignd, serve one align request twice,
+# and verify the /metrics exposition is scrapeable and live — the core
 # families are present (HTTP requests, solve latency, engine cache,
-# worker pool), the align request counter is non-zero, and readiness
-# flips to 503 when the SIGTERM drain begins. Usage:
+# worker pool), the align request and profile-cache hit counters are
+# non-zero, and readiness flips to 503 when the SIGTERM drain begins. Usage:
 #
 #   scripts/metrics_smoke.sh [port]
 set -eu
@@ -35,15 +35,17 @@ until curl -sf "http://$addr/v1/readyz" >/dev/null 2>&1; do
 done
 echo "== readyz ok"
 
-echo "== aligning one benchmark to light up the counters"
-rid=$(curl -sf -o /dev/null -D - "http://$addr/v1/align" \
-	-H 'Content-Type: application/json' \
-	-d '{"bench":"compress"}' | tr -d '\r' | sed -n 's/^[Xx]-[Rr]equest-[Ii]d: //p')
-if [ -z "$rid" ]; then
-	echo "align response carried no X-Request-Id" >&2
-	exit 1
-fi
-echo "== request id: $rid"
+echo "== aligning one benchmark twice to light up the counters"
+for pass in 1 2; do
+	rid=$(curl -sf -o /dev/null -D - "http://$addr/v1/align" \
+		-H 'Content-Type: application/json' \
+		-d '{"bench":"compress"}' | tr -d '\r' | sed -n 's/^[Xx]-[Rr]equest-[Ii]d: //p')
+	if [ -z "$rid" ]; then
+		echo "align response carried no X-Request-Id" >&2
+		exit 1
+	fi
+	echo "== request $pass id: $rid"
+done
 
 echo "== scraping /metrics"
 scrape=$(curl -sf "http://$addr/metrics")
@@ -72,6 +74,11 @@ echo "$scrape" | grep 'balignd_http_requests_total{endpoint="/v1/align"' |
 }
 echo "$scrape" | grep -q 'engine_solve_duration_seconds_count.* [1-9]' || {
 	echo "solve latency histogram is empty" >&2
+	exit 1
+}
+# The repeat must have skipped compile and the profiling run.
+echo "$scrape" | grep -q '^engine_profile_cache_hits_total [1-9]' || {
+	echo "profile cache hit counter is zero or missing" >&2
 	exit 1
 }
 
